@@ -6,7 +6,7 @@ REFS ?= 120000
 # 1 = deterministic sequential fallback.  Output is bit-identical either way.
 JOBS ?= 0
 
-.PHONY: install test test-fast bench bench-check serve-smoke cluster-smoke warm-traces replay examples clean-traces clean-results all
+.PHONY: install test test-fast bench bench-check serve-smoke warm-traces replay examples clean-traces clean-results all
 
 install:
 	pip install -e . --no-build-isolation
@@ -26,20 +26,18 @@ bench:
 	  --benchmark-json=BENCH_$$(git rev-parse --short HEAD).json
 
 # Replay the regression canaries (engine micro-benchmarks + trace
-# generation + trace store + sweep batching + serving + cluster scaling)
-# and gate them against the committed BENCH_*.json baseline (>25%
-# slowdown on any canary fails).  The trace-gen, trace-store,
-# sweep-batching, policy-kernel, aux and cluster files also enforce
-# machine-independent speedup floors in-test (trace store: mmap >=5x over
-# npz decode at 1M refs; aux: miss-event replay >=5x over the sequential
-# wrapper at 1M refs; cluster: >=1.7x at 2 workers, >=3.0x at 4).
+# generation + trace store + sweep batching + serving) and gate them
+# against the committed BENCH_*.json baseline (>25% slowdown on any
+# canary fails).  The trace-gen, trace-store, sweep-batching,
+# policy-kernel and aux files also enforce machine-independent speedup
+# floors in-test (trace store: mmap >=5x over npz decode at 1M refs; aux:
+# miss-event replay >=5x over the sequential wrapper at 1M refs).
 bench-check:
 	$(PY) -m pytest benchmarks/test_engine_micro.py benchmarks/test_trace_gen.py \
 	  benchmarks/test_trace_store_bench.py \
 	  benchmarks/test_service_bench.py benchmarks/test_sweep_batching_bench.py \
 	  benchmarks/test_policy_kernel_bench.py \
 	  benchmarks/test_aux_bench.py \
-	  benchmarks/test_cluster_bench.py \
 	  --benchmark-only --benchmark-json=bench-candidate.json
 	$(PY) benchmarks/check_regression.py bench-candidate.json
 
@@ -48,13 +46,6 @@ bench-check:
 # coalescing, overloaded backpressure, stats, clean shutdown.
 serve-smoke:
 	PYTHONPATH=src $(PY) scripts/serve_smoke.py
-
-# Boot a real two-worker cluster (two `serve` daemons sharing one shared
-# result store behind a `route` daemon) and exercise the clustering
-# contract: ring-split sweeps, bit-identical routed results, SIGKILL
-# failover mid-burst, exactly-once via the shared store, clean shutdown.
-cluster-smoke:
-	PYTHONPATH=src $(PY) scripts/cluster_smoke.py
 
 # Prefetch every trace the experiment suite needs, in parallel, before a
 # replay — turns the cold-start cost into one concurrent generation pass.

@@ -3,7 +3,7 @@
 PR 8's tentpole claim is that serving a cached trace is an ``mmap`` away
 instead of an npz decode.  This file times both paths on the same
 1M-reference trace with the file warm in the OS page cache (the steady
-state of every figure replay, ``repro serve`` worker, and cluster node)
+state of every figure replay and ``repro serve`` worker)
 and gates the headline:
 
 * **in-bench speedup floor**: the zero-copy ``load_raw`` must clear 5x

@@ -15,7 +15,6 @@
     repro-cache sweep --workload fft --aux vc,mc,sb --aux-lines 2,4,8
     repro-cache cache [--clear] [--clear-traces]   # inspect/clear on-disk caches
     repro-cache serve --port 7411 --jobs 4         # simulation job server
-    repro-cache route --workers 127.0.0.1:7501,127.0.0.1:7502   # cluster router
     repro-cache submit fig4 --refs 8000            # submit to a running server
     repro-cache stats | health                     # observability snapshots
 """
@@ -617,10 +616,6 @@ def main(argv: list[str] | None = None) -> int:
         from .service.cli import cmd_submit
 
         return cmd_submit(args)
-    if args.command == "route":
-        from .service.cli import cmd_route
-
-        return cmd_route(args)
     if args.command == "stats":
         from .service.cli import cmd_stats
 

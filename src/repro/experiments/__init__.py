@@ -32,10 +32,7 @@ from .engine import (
     EngineStats,
     ExperimentEngine,
     ResultCache,
-    ResultStore,
-    SharedDirStore,
     effective_jobs,
-    make_store,
 )
 from .report import ExperimentResult, render_bars, render_table, sparkline
 from .runner import (
@@ -62,9 +59,6 @@ __all__ = [
     "ExperimentEngine",
     "EngineStats",
     "ResultCache",
-    "ResultStore",
-    "SharedDirStore",
-    "make_store",
     "CellExecutionError",
     "effective_jobs",
 ]

@@ -106,9 +106,9 @@ class PaperConfig:
     #: Byte budget of the process-wide trace arena (the bounded LRU of
     #: opened/mapped traces every trace-path consumer shares — see
     #: :mod:`repro.trace.arena`).  Bounds how much mapped trace data a
-    #: long-lived process (``repro serve``, cluster workers, pool
-    #: workers) retains; raw-format entries are mapped zero-copy, so the
-    #: budget is address-space/worst-case-residency, not guaranteed RSS.
+    #: long-lived process (``repro serve``, pool workers) retains;
+    #: raw-format entries are mapped zero-copy, so the budget is
+    #: address-space/worst-case-residency, not guaranteed RSS.
     #: Execution knob only (like ``jobs``/``engine``): results are
     #: bit-identical at any budget, so it is *not* part of cache keys.
     trace_arena_bytes: int = 1 << 30
@@ -125,16 +125,6 @@ class PaperConfig:
     #: Result-cache root; ``None`` → ``<trace_cache_dir>/results`` so tests
     #: pointing the trace cache at a tmp dir stay hermetic automatically.
     result_cache_dir: Path | None = None
-    #: Result-store backend: ``"local"`` (today's private on-disk cache) or
-    #: ``"shared"`` (two-tier read-through/write-behind store rooted at
-    #: ``shared_store_dir``, so warm results are cluster-visible — see
-    #: :mod:`repro.experiments.engine.store`).  Execution-location knob
-    #: only: keys and stored payloads are identical across backends, so it
-    #: is *not* part of result-cache keys.
-    result_store: str = "local"
-    #: Cluster-visible results directory for ``result_store="shared"``
-    #: (every node of one cluster points here; ``None`` elsewhere).
-    shared_store_dir: Path | None = None
     #: Simulation-engine selection for cells with a vectorised fast path:
     #: ``"auto"`` picks the set-decomposed engines (fastsim/fastassoc) when
     #: available, ``"sequential"`` forces the reference loop.  Results are
@@ -157,15 +147,6 @@ class PaperConfig:
     #: Surfaced as ``--cell-timeout`` on the CLI and reused by the job
     #: server as its default per-request deadline.
     cell_timeout: float | None = None
-    #: Load-generator knob: artificial per-cell service time in seconds,
-    #: slept inside ``timed_execute_cell`` *before* simulating.  Makes a
-    #: worker's capacity deterministic (capacity = slots / delay) so the
-    #: cluster scaling bench and the kill-mid-burst smoke are
-    #: machine-independent.  ``None``/0 (the default, and the only sane
-    #: production value) is free.  Execution knob only — results are
-    #: unchanged, so it is *not* part of result-cache keys.  Surfaced as
-    #: ``serve --cell-delay``.
-    cell_delay: float | None = None
 
     @property
     def result_cache_path(self) -> Path:

@@ -18,7 +18,6 @@ order regardless of completion order.  The differential-test layer
 """
 
 from .cache import ENGINE_VERSION, ResultCache, cell_key, trace_fingerprint
-from .store import LocalDirStore, ResultStore, SharedDirStore, make_store
 from .cells import (
     CellExecutionError,
     KernelSpec,
@@ -43,10 +42,6 @@ from .parallel import (
 __all__ = [
     "ENGINE_VERSION",
     "ResultCache",
-    "ResultStore",
-    "LocalDirStore",
-    "SharedDirStore",
-    "make_store",
     "cell_key",
     "trace_fingerprint",
     "SimCell",

@@ -156,10 +156,10 @@ class ResultCache:
         """Verified load; *verified* corruption/staleness deletes the entry → miss.
 
         A transient I/O failure (``OSError`` while opening/reading — e.g. a
-        concurrent reader racing a writer on a shared filesystem, or a
-        momentary NFS hiccup) is reported as a miss but **never** deletes
-        the entry: the file may be perfectly good, and unlinking it would
-        throw away a warm result every other node could still use.  Only
+        concurrent reader racing a writer, or a momentary filesystem
+        hiccup) is reported as a miss but **never** deletes the entry: the
+        file may be perfectly good, and unlinking it would throw away a
+        warm result every other process could still use.  Only
         failures that prove the decoded *content* is wrong (bad zip,
         missing members, checksum mismatch, stale engine version,
         inconsistent shapes) unlink.
@@ -211,16 +211,6 @@ class ResultCache:
             path.unlink()
         except OSError:
             pass
-
-    def keys(self) -> list[str]:
-        """Keys of every entry currently on disk (unverified)."""
-        return sorted(p.stem for p in self.root.glob("*.npz"))
-
-    def flush(self) -> None:
-        """Synchronous backend: every ``store`` already hit the disk."""
-
-    def close(self) -> None:
-        """Nothing to tear down for a plain directory."""
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""

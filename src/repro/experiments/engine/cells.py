@@ -315,7 +315,7 @@ def _trace_at(path, name: str, config: PaperConfig | None = None):
     :class:`~repro.trace.arena.TraceArena` replaces the old unbounded
     per-module memo: raw-format entries map zero-copy (forked workers
     share the parent's page-cache pages), legacy npz entries decode, and
-    a byte-budgeted LRU keeps long-lived service/cluster processes from
+    a byte-budgeted LRU keeps long-lived service processes from
     accumulating every trace they ever touched.  ``config`` (when the
     caller has one) carries the budget, ``trace_arena_bytes``.
     """
@@ -503,10 +503,6 @@ def timed_execute_cell(
 ) -> tuple[SimulationResult, float]:
     """``execute_cell`` plus wall-clock seconds (the pool-worker entry point)."""
     t0 = time.perf_counter()
-    if config.cell_delay:
-        # Load-generator knob: deterministic service-time floor so cluster
-        # scaling benches are capacity-bound, not machine-bound.
-        time.sleep(config.cell_delay)
     result = execute_cell(cell, config, trace_path, profile_path)
     return result, time.perf_counter() - t0
 

@@ -75,10 +75,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ...core.simulator import SimulationResult
 from ..config import PaperConfig
-from .cache import cell_key
+from .cache import ResultCache, cell_key
 from .cells import CellExecutionError, SimCell, timed_execute_cell
 from .families import SweepFamily, detect_families, execute_family
-from .store import ResultStore, make_store
 
 __all__ = [
     "CellPlan",
@@ -322,33 +321,10 @@ def run_cells(
     cells: Iterable[SimCell],
     config: PaperConfig,
     jobs: int | None = None,
-    result_cache: ResultStore | None = None,
+    result_cache: ResultCache | None = None,
     cell_timeout: float | None = None,
 ) -> tuple[dict[tuple[str, str], SimulationResult], EngineStats]:
     """Execute a cell grid; see the module docstring for the contract."""
-    owns_store = False
-    if result_cache is None and config.use_result_cache:
-        result_cache = make_store(config)
-        owns_store = True
-    try:
-        return _run_cells(cells, config, jobs, result_cache, cell_timeout)
-    finally:
-        if owns_store and result_cache is not None:
-            # A run-owned write-behind store must be durable before we
-            # return — even on a failed run, so completed members persisted
-            # by ``_store_partial`` reach the shared tier (a long-lived
-            # host owns its store's lifecycle itself).
-            result_cache.flush()
-            result_cache.close()
-
-
-def _run_cells(
-    cells: Iterable[SimCell],
-    config: PaperConfig,
-    jobs: int | None,
-    result_cache: ResultStore | None,
-    cell_timeout: float | None,
-) -> tuple[dict[tuple[str, str], SimulationResult], EngineStats]:
     cells = list(cells)
     jobs = effective_jobs(config.jobs if jobs is None else jobs)
     if cell_timeout is None:
@@ -363,6 +339,9 @@ def _run_cells(
         done += 1
         if progress is not None:
             progress(cell.name, done, len(cells), cached)
+
+    if result_cache is None and config.use_result_cache:
+        result_cache = ResultCache(config.result_cache_path)
 
     plan = plan_cells(cells, config, jobs)
     keys = plan.keys
@@ -564,13 +543,13 @@ class ExperimentEngine:
         self,
         config: PaperConfig,
         jobs: int | None = None,
-        result_cache: ResultStore | None = None,
+        result_cache: ResultCache | None = None,
         cell_timeout: float | None = None,
     ):
         self.config = config
         self.jobs = effective_jobs(config.jobs if jobs is None else jobs)
-        if result_cache is None:
-            result_cache = make_store(config)
+        if result_cache is None and config.use_result_cache:
+            result_cache = ResultCache(config.result_cache_path)
         self.result_cache = result_cache
         self.cell_timeout = (
             config.cell_timeout if cell_timeout is None else cell_timeout

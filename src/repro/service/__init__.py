@@ -20,13 +20,7 @@ identical work across clients:
 See DESIGN.md §5.4 for the full protocol and semantics.
 """
 
-from .client import (
-    ServiceClient,
-    ServiceError,
-    ServiceOverloaded,
-    ServiceTimeout,
-    ServiceUnavailable,
-)
+from .client import ServiceClient, ServiceError, ServiceOverloaded, ServiceTimeout
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .scheduler import CellScheduler, DeadlineExceeded, Overloaded
 from .server import ReproServer
@@ -45,5 +39,4 @@ __all__ = [
     "ServiceOverloaded",
     "ServiceStats",
     "ServiceTimeout",
-    "ServiceUnavailable",
 ]

@@ -11,8 +11,6 @@ Structured server errors surface as typed exceptions:
 * :class:`ServiceOverloaded` — admission rejected (backpressure); back off
   and retry;
 * :class:`ServiceTimeout` — the request's deadline elapsed server-side;
-* :class:`ServiceUnavailable` — the cluster router found no live worker
-  for the key (retriable once workers rejoin);
 * :class:`ServiceError` — everything else, with ``.code`` preserved.
 
 Streaming progress events are delivered to an optional ``on_event``
@@ -27,7 +25,6 @@ from typing import Any, Callable
 from .protocol import (
     E_OVERLOADED,
     E_TIMEOUT,
-    E_UNAVAILABLE,
     MAX_FRAME_BYTES,
     decode_frame,
     encode_frame,
@@ -38,7 +35,6 @@ __all__ = [
     "ServiceError",
     "ServiceOverloaded",
     "ServiceTimeout",
-    "ServiceUnavailable",
 ]
 
 
@@ -59,8 +55,6 @@ class ServiceError(RuntimeError):
             return ServiceOverloaded(code, message)
         if code == E_TIMEOUT:
             return ServiceTimeout(code, message)
-        if code == E_UNAVAILABLE:
-            return ServiceUnavailable(code, message)
         return ServiceError(code, message)
 
 
@@ -70,10 +64,6 @@ class ServiceOverloaded(ServiceError):
 
 class ServiceTimeout(ServiceError):
     """The request exceeded its deadline server-side."""
-
-
-class ServiceUnavailable(ServiceError):
-    """No live worker can serve the request right now; retriable."""
 
 
 class ServiceClient:

@@ -37,9 +37,7 @@ Error codes
 ``overloaded``   admission queue full — explicit backpressure, retriable;
 ``timeout``      the request's deadline elapsed before completion;
 ``cancelled``    the waiter went away (client disconnect);
-``internal``     unexpected server-side failure (cell errors included);
-``unavailable``  no worker can take the request right now (cluster router:
-                 every preference-order node is down) — retriable.
+``internal``     unexpected server-side failure (cell errors included).
 
 ``config`` overrides are whitelisted (see :data:`CONFIG_OVERRIDES`): a
 request may change trace length, seed, scale, engine selection, sweep
@@ -68,7 +66,6 @@ __all__ = [
     "E_TIMEOUT",
     "E_CANCELLED",
     "E_INTERNAL",
-    "E_UNAVAILABLE",
     "ERROR_CODES",
     "REQUEST_TYPES",
     "CONFIG_OVERRIDES",
@@ -84,7 +81,6 @@ __all__ = [
     "parse_deadline",
     "sweep_cell",
     "result_to_wire",
-    "result_from_wire",
     "experiment_result_to_wire",
 ]
 
@@ -99,15 +95,7 @@ E_OVERLOADED = "overloaded"
 E_TIMEOUT = "timeout"
 E_CANCELLED = "cancelled"
 E_INTERNAL = "internal"
-E_UNAVAILABLE = "unavailable"
-ERROR_CODES = (
-    E_BAD_REQUEST,
-    E_OVERLOADED,
-    E_TIMEOUT,
-    E_CANCELLED,
-    E_INTERNAL,
-    E_UNAVAILABLE,
-)
+ERROR_CODES = (E_BAD_REQUEST, E_OVERLOADED, E_TIMEOUT, E_CANCELLED, E_INTERNAL)
 
 REQUEST_TYPES = ("cell", "sweep", "experiment", "health", "stats", "shutdown")
 
@@ -328,38 +316,6 @@ def result_to_wire(
         for name in ("slot_accesses", "slot_hits", "slot_misses"):
             doc[name] = np.asarray(getattr(result, name)).astype(int).tolist()
     return doc
-
-
-def result_from_wire(doc: dict[str, Any]) -> SimulationResult:
-    """Inverse of :func:`result_to_wire` (requires the per-set arrays).
-
-    The cluster router rehydrates a worker's ``cell`` reply through this
-    when it needs a real :class:`SimulationResult` (the routed-experiment
-    executor path); round-tripping is lossless, so routed results stay
-    bit-identical to locally executed ones.
-    """
-    missing = [
-        name
-        for name in ("slot_accesses", "slot_hits", "slot_misses")
-        if name not in doc
-    ]
-    if missing:
-        raise ProtocolError(
-            f"result payload lacks per-set arrays {missing}; "
-            "request the cell with arrays=true"
-        )
-    return SimulationResult(
-        model=doc["model"],
-        trace_name=doc["trace_name"],
-        accesses=int(doc["accesses"]),
-        hits=int(doc["hits"]),
-        misses=int(doc["misses"]),
-        lookup_cycles=int(doc["lookup_cycles"]),
-        slot_accesses=np.asarray(doc["slot_accesses"], dtype=np.int64),
-        slot_hits=np.asarray(doc["slot_hits"], dtype=np.int64),
-        slot_misses=np.asarray(doc["slot_misses"], dtype=np.int64),
-        extra={k: int(v) for k, v in (doc.get("extra") or {}).items()},
-    )
 
 
 def experiment_result_to_wire(result: ExperimentResult) -> dict[str, Any]:

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..experiments.config import PaperConfig
+from ..experiments.engine.cache import ResultCache
 from ..experiments.engine.cells import SimCell, timed_execute_cell
-from ..experiments.engine.store import ResultStore, make_store
 from ..experiments.engine.parallel import CellPlan, plan_cells
 from .stats import ServiceStats
 
@@ -127,7 +127,9 @@ class CellScheduler:
                 max_workers=max(1, workers), thread_name_prefix="repro-cell"
             )
             self._owns_executor = True
-        self.result_cache: ResultStore | None = make_store(config)
+        self.result_cache: ResultCache | None = (
+            ResultCache(config.result_cache_path) if config.use_result_cache else None
+        )
         self._flights: dict[str, _Flight] = {}
 
     # -- introspection --------------------------------------------------------------
@@ -293,9 +295,3 @@ class CellScheduler:
         self._flights.clear()
         if self._owns_executor:
             self.executor.shutdown(wait=False, cancel_futures=True)
-        if self.result_cache is not None:
-            # Drain a write-behind store so every computed result is
-            # cluster-visible before the daemon reports itself down.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.result_cache.close
-            )

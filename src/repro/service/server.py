@@ -338,25 +338,11 @@ class ReproServer:
             "error": {"code": code, "message": str(exc)},
         }
 
-    def _experiment_engine_pool(self):
-        """Executor injected into ``run_cells`` for experiment requests.
-
-        The single-node server reuses the scheduler's warm pool; the
-        cluster router overrides this to fan cells out over the ring.
-        """
-        return self.scheduler.executor
-
-    def _experiment_config(self, config: PaperConfig) -> PaperConfig:
-        """Hook for subclasses to constrain experiment configs (router)."""
-        return config
-
     async def _handle_experiment(self, req: dict, send: Send) -> dict:
         eid, config = protocol.normalize_experiment_request(req, self.config)
-        config = self._experiment_config(config)
         deadline = protocol.parse_deadline(req, self.default_deadline)
         rid = req.get("id")
         loop = asyncio.get_running_loop()
-        engine_pool = self._experiment_engine_pool()
         events: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue()
 
         def hook(cell_name: str, done: int, total: int, cached: bool) -> None:
@@ -379,7 +365,7 @@ class ReproServer:
 
             # Stream cell completions and reuse the scheduler's warm pool
             # for the figure's own cell grid.
-            with progress_scope(hook), engine_pool_scope(engine_pool):
+            with progress_scope(hook), engine_pool_scope(self.scheduler.executor):
                 return run_experiment(eid, config)
 
         async def pump() -> None:

@@ -1,9 +1,8 @@
 """Process-wide trace arena: a bounded LRU of opened (mapped) traces.
 
 Every consumer that re-opens cached trace files by path — the in-process
-experiment engine, process-pool workers, the job server, cluster worker
-nodes — goes through one shared arena per process instead of a private
-per-module memo.  The arena
+experiment engine, process-pool workers, the job server — goes through
+one shared arena per process instead of a private per-module memo.  The arena
 
 * opens each path **once** per process (raw entries map zero-copy via
   :func:`~repro.trace.io.load_raw`; legacy npz entries decode via
@@ -12,7 +11,7 @@ per-module memo.  The arena
 * accounts bytes (``sum(arr.nbytes)`` of the three field arrays) and
   evicts least-recently-used entries once a configurable budget
   (``PaperConfig.trace_arena_bytes``) is exceeded, so a long-lived
-  ``repro serve`` / cluster process touching an unbounded stream of
+  ``repro serve`` process touching an unbounded stream of
   distinct traces holds a bounded working set — the unbounded
   ``_TRACE_MEMO`` dict this replaces grew forever;
 * invalidates on file change (mtime/size), so a cache entry healed or

@@ -300,8 +300,8 @@ def load_raw(path: str | Path, *, mmap_sections: bool = True, verify: bool = Fal
 def load_trace(path: str | Path) -> Trace:
     """Load a trace from either cache format, sniffed by magic bytes.
 
-    The engine ships bare paths to worker processes and cluster nodes;
-    this is the single entry point they re-open those paths through, so a
+    The engine ships bare paths to worker processes; this is the single
+    entry point they re-open those paths through, so a
     mixed-era cache (raw entries next to not-yet-migrated npz ones) is
     handled uniformly: raw maps zero-copy, npz decodes as before.
     """
@@ -350,10 +350,9 @@ class TraceCache:
 
     **Storage format is a cache-internal detail, never part of a key.**
     Entries are persisted in the raw mmap-able format; legacy ``.npz``
-    entries (from earlier releases, or written by older cluster nodes
-    over a shared directory) are *migrated* transparently: the first read
-    decodes the npz once, writes the raw sibling, and every later read
-    maps it zero-copy.  Content is bit-identical across formats by
+    entries (from earlier releases) are *migrated* transparently: the
+    first read decodes the npz once, writes the raw sibling, and every
+    later read maps it zero-copy.  Content is bit-identical across formats by
     construction (and by differential test), so cache keys, trace
     fingerprints and the golden content hashes are unchanged.
 

@@ -155,3 +155,38 @@ class TestFig14:
         r = run_experiment("fig14", config)
         best = max(r.column("improvement").values())
         assert best > 40.0
+
+
+class TestFigureMemo:
+    """fig4 and fig6 memoize one result per process, keyed on the config."""
+
+    @pytest.fixture
+    def configs(self, tmp_path) -> tuple[PaperConfig, PaperConfig]:
+        base = replace(
+            PaperConfig(), ref_limit=3000, trace_cache_dir=tmp_path / "traces"
+        )
+        half = replace(base.geometry, capacity_bytes=base.geometry.capacity_bytes // 2)
+        return base, replace(base, geometry=half)
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig6"])
+    def test_geometry_change_is_not_served_stale(self, configs, experiment):
+        full, half = configs
+        rows_full = run_experiment(experiment, full).rows
+        rows_half = run_experiment(experiment, half).rows
+        assert rows_full != rows_half
+
+    def test_dependent_figures_reuse_the_memo(self, configs, monkeypatch):
+        from repro.experiments import fig04_indexing_missrate as fig04
+        from repro.experiments import fig06_progassoc_missrate as fig06
+
+        _, config = configs
+        run_experiment("fig4", config)
+        run_experiment("fig6", config)
+
+        def recompute(_config):
+            raise AssertionError("memoized figure was recomputed")
+
+        monkeypatch.setattr(fig04, "_run_fig04", recompute)
+        monkeypatch.setattr(fig06, "_run_progassoc", recompute)
+        for experiment in ("fig7", "fig9", "fig10"):
+            run_experiment(experiment, config)
