@@ -2,7 +2,7 @@
 
 ``tests/experiments/goldens/*.json`` freezes the small-trace
 (``ref_limit=15000``, seed 2011) miss-rate / uniformity outputs of fig1,
-fig4 and fig6.  Each golden file is tolerance-tagged (``rtol``/``atol``
+fig4, fig6, fig8, fig13, ext-assoc, ext-policy, ext-aux and ext-bounds.  Each golden file is tolerance-tagged (``rtol``/``atol``
 inside the file) so refactors of the execution layer — the parallel engine,
 the result cache, future sharding — cannot silently shift reproduced
 numbers.  If a change *intentionally* alters the numbers, regenerate the
@@ -25,7 +25,17 @@ import pytest
 from repro.experiments import PaperConfig, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_IDS = ["fig1", "fig4", "fig6"]
+GOLDEN_IDS = [
+    "fig1",
+    "fig4",
+    "fig6",
+    "fig8",
+    "fig13",
+    "ext-assoc",
+    "ext-policy",
+    "ext-aux",
+    "ext-bounds",
+]
 GOLDEN_REFS = 15_000
 
 
