@@ -6,7 +6,7 @@ REFS ?= 120000
 # 1 = deterministic sequential fallback.  Output is bit-identical either way.
 JOBS ?= 0
 
-.PHONY: install test test-fast bench bench-check serve-smoke warm-traces replay examples clean-traces clean-results all
+.PHONY: install test test-fast bench bench-check serve-smoke engine-smoke warm-traces replay examples clean-traces clean-results all
 
 install:
 	pip install -e . --no-build-isolation
@@ -46,6 +46,21 @@ bench-check:
 # coalescing, overloaded backpressure, stats, clean shutdown.
 serve-smoke:
 	PYTHONPATH=src $(PY) scripts/serve_smoke.py
+
+# Run ext-policy, ext-aux and fig8 once per engine, uncached, and require
+# byte-identical markdown: every vectorised fast path must reproduce the
+# sequential cache models exactly.
+engine-smoke:
+	@set -e; out=$$(mktemp -d); \
+	for id in ext-policy ext-aux fig8; do \
+	  for engine in sequential auto; do \
+	    PYTHONPATH=src $(PY) -m repro.cli run $$id --refs 4000 --jobs 1 \
+	      --no-result-cache --engine $$engine --out $$out/$$id-$$engine.md >/dev/null; \
+	  done; \
+	  cmp $$out/$$id-sequential.md $$out/$$id-auto.md; \
+	  echo "engine-smoke: $$id sequential == auto"; \
+	done; \
+	rm -rf $$out
 
 # Prefetch every trace the experiment suite needs, in parallel, before a
 # replay — turns the cold-start cost into one concurrent generation pass.

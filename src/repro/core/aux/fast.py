@@ -10,14 +10,14 @@ exactly, whatever auxiliary structures ride along:
    hit trivially, a victim-buffer hit by the swap, a miss-cache or
    stream-buffer hit by the copy-in, and a full miss by the fill.  The
    main-array hit/miss outcome of access ``i`` therefore depends only on
-   the previous access to the same set (hit iff same block), which is the
-   set-local adjacent-compare already vectorised by
+   the previous access to the same set (hit iff same block): the run
+   heads of :func:`~repro.core.fastsim.group_by_set`, exactly as in
    :func:`~repro.core.fastsim.direct_mapped_miss_flags` — absorption
    never feeds back into main-array state.
 2. **The displaced line is the previous block of the set.**  By the same
    resident-after-access property, the line a main-array miss displaces
    is simply the block of the set's previous access (none on the set's
-   first access) — a vectorised grouped shift, no replay needed.
+   first access) — a shift over the same set grouping, no replay needed.
 3. **Aux state changes only at main-array misses**, as a pure function of
    the program-ordered stream of ``(missed block, displaced block)``
    events.  The fast path replays exactly that event stream through the
@@ -27,15 +27,19 @@ exactly, whatever auxiliary structures ride along:
 
 The speedup is the miss rate: a trace that hits the main array 90% of the
 time replays one tenth of its accesses through Python, with everything
-else answered by two vectorised passes
+else answered by one shared :func:`~repro.core.fastsim.decode` and one
+:func:`~repro.core.fastsim.group_by_set`
 (``benchmarks/test_aux_bench.py`` gates ≥ 5× at one million accesses;
 bit-identity is locked by ``tests/core/test_aux_differential.py``).
 
-Anything outside the provable region — a set-associative or otherwise
-stateful base, an unregistered structure type, pre-warmed contents, a
-subclass overriding the access path — falls back to the sequential
-reference engine, the same ``engine="auto"``/``"sequential"`` contract as
-:mod:`~repro.core.fastassoc` and :mod:`~repro.core.fastpolicy`.
+:func:`simulate_augmented` is the cache-object entry point: anything
+outside the provable region — a set-associative or otherwise stateful
+base, an unregistered structure type, pre-warmed contents, a subclass
+overriding the access path — falls back to the sequential reference
+engine, the same ``engine="auto"``/``"sequential"`` contract as
+:func:`~repro.core.fastassoc.simulate_progassoc`.  :func:`simulate_aux`
+and :func:`simulate_aux_sweep` are the stats-level entry points behind
+``auxsweep`` cells and the CLI.
 """
 
 from __future__ import annotations
@@ -48,7 +52,13 @@ from ...trace.event import Trace
 from ..address import CacheGeometry
 from ..caches.base import EMPTY, CacheModel, CacheStats
 from ..caches.direct_mapped import DirectMappedCache
-from ..fastsim import direct_mapped_miss_flags, per_set_counts
+from ..fastsim import (
+    SetGroups,
+    decode,
+    direct_mapped_miss_flags,
+    group_by_set,
+    per_set_counts,
+)
 from ..indexing.base import IndexingScheme
 from ..simulator import SimulationResult, _result_from_stats, simulate
 from .augmented import AugmentedCache
@@ -102,38 +112,26 @@ def make_aux_structures(
 # -- the replay -------------------------------------------------------------------
 
 
-def _decode(scheme: IndexingScheme, trace: Trace, geometry: CacheGeometry):
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
-    return blocks, indices
-
-
-def _prev_blocks(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def _prev_blocks(g: SetGroups) -> np.ndarray:
     """Per access, the block of the previous access to the same set
     (``EMPTY`` on the set's first access) — the displaced line when the
     access misses the direct-mapped main array."""
-    n = int(blocks.size)
-    prev = np.full(n, EMPTY, dtype=np.int64)
-    if not n:
-        return prev
-    indices64 = np.ascontiguousarray(indices, dtype=np.int64)
-    if int(indices64.max()) < (1 << 62) // n:
-        # Packed-key grouping (see fastsim.lru_stack_distances): sort by
-        # (set, program order) and decode both outputs.
-        key = np.sort(indices64 * np.int64(n) + np.arange(n, dtype=np.int64))
-        sorted_idx = key // n
-        order = key - sorted_idx * n
-    else:
-        order = np.argsort(indices64, kind="stable")
-        sorted_idx = indices64[order]
-    sorted_blk = np.asarray(blocks)[order]
-    prev_sorted = np.full(n, EMPTY, dtype=np.int64)
-    same = sorted_idx[1:] == sorted_idx[:-1]
-    prev_sorted[1:][same] = sorted_blk[:-1][same]
-    prev[order] = prev_sorted
-    return prev
+    prev_sorted = np.full(g.n, EMPTY, dtype=np.int64)
+    same = g.sorted_idx[1:] == g.sorted_idx[:-1]
+    prev_sorted[1:][same] = g.sorted_blk[:-1][same]
+    return g.unsort(prev_sorted)
+
+
+def _main_misses(
+    scheme: IndexingScheme, trace: Trace, geometry: CacheGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The shared main-array pass — one decode, one set grouping:
+    ``(blocks, indices, miss, prev)``, where ``prev`` is the block each
+    main-array miss would displace."""
+    blocks, indices = decode(scheme, trace, geometry)
+    g = group_by_set(blocks, indices)
+    miss = direct_mapped_miss_flags(blocks, indices, g)
+    return blocks, indices, miss, _prev_blocks(g)
 
 
 def _replay(
@@ -271,7 +269,7 @@ def simulate_augmented(
 
     A drop-in accelerator for :func:`~repro.core.simulator.simulate` on
     aux compositions, mirroring
-    :func:`~repro.core.fastpolicy.simulate_policy`: ``engine="auto"``
+    :func:`~repro.core.fastassoc.simulate_progassoc`: ``engine="auto"``
     takes the replay when the composition is a pristine direct-mapped
     base with registered structures, reconstructing the full end state
     (main array, base stats, buffer contents — the replay mutates the
@@ -293,9 +291,7 @@ def simulate_augmented(
         )
     geometry = cache.geometry
     num_sets = geometry.num_sets
-    blocks, indices = _decode(cache.base.indexing, trace, geometry)
-    miss = direct_mapped_miss_flags(blocks, indices)
-    prev = _prev_blocks(blocks, indices)
+    blocks, indices, miss, prev = _main_misses(cache.base.indexing, trace, geometry)
     mpos = np.flatnonzero(miss)
     stats = CacheStats(num_sets)
     cls = _replay(
@@ -365,8 +361,8 @@ def simulate_aux_sweep(
 ) -> list[SimulationResult]:
     """An *aux sweep*: many ``(combo, depth)`` points from one main pass.
 
-    Every member shares one trace decode, one index computation, one
-    vectorised main-array pass and one displaced-block computation; each
+    Every member shares one decode and one set grouping (the main-array
+    misses and their displaced blocks); each
     spec then replays its own (fresh) structures off the shared miss
     events.  Returns one result per spec, in order, each bit-identical
     (per-set counts included) to its :func:`simulate_aux` per-cell
@@ -394,9 +390,7 @@ def simulate_aux_sweep(
             for combo, depth in specs
         ]
     num_sets = geometry.num_sets
-    blocks, indices = _decode(scheme, trace, geometry)
-    miss = direct_mapped_miss_flags(blocks, indices)
-    prev = _prev_blocks(blocks, indices)
+    blocks, indices, miss, prev = _main_misses(scheme, trace, geometry)
     mpos = np.flatnonzero(miss)
     blk_l = blocks[mpos].tolist()
     prev_l = prev[mpos].tolist()

@@ -5,88 +5,73 @@ this module closes the gap for the remaining registered policies — FIFO,
 PLRU, MRU, LFU and seeded Random — with replay kernels that are
 *bit-identical* to driving :class:`~repro.core.caches.SetAssociativeCache`
 one access at a time through :func:`~repro.core.simulator.simulate`:
-equal hits/misses/lookup cycles, equal per-set histograms, equal ``extra``
-hit classes, and (through :func:`simulate_policy`) equal cache-object end
-state, policy internals included.
+equal hits/misses/lookup cycles, equal per-set histograms and equal
+``extra`` hit classes.
 
 Design
 ------
-One shared *set-decomposition* pass (the packed-key grouping of
-``fastsim``/``fastassoc``) sorts the access stream stably by set and
-compresses adjacent same-(set, block) repeats.  A repeated access is a hit
-under **every** policy here, and collapsing it preserves each policy's
-state exactly:
+Every kernel runs off the shared stages of :mod:`repro.core.fastsim`: one
+:func:`~repro.core.fastsim.decode` and one
+:func:`~repro.core.fastsim.group_by_set`, which sorts the access stream
+stably by set and marks the run heads (adjacent same-(set, block) repeats
+removed).  A repeated access is a hit under **every** policy here, and
+collapsing it preserves each policy's victim choice exactly:
 
 * FIFO / Random — ``touch`` is a no-op, so hits mutate nothing;
 * PLRU — ``touch`` is idempotent (re-touching the MRU way rewrites the
   same tree bits);
-* LRU / MRU — re-touching the most-recent way advances the clock but
-  changes no *relative* recency order, which is all the victim choice
-  reads (absolute stamps are reconstructed separately for the end state);
-* LFU — ``touch`` increments a count, so kernels consume the *run
+* MRU — re-touching the most-recent way advances the clock but changes no
+  *relative* recency order, which is all the victim choice reads;
+* LFU — ``touch`` increments a count, so the kernel consumes the *run
   lengths* instead of visiting each repeat.
 
-Per-policy kernels then replay each set's compressed sub-stream through a
-tiny transliteration of the corresponding
+LRU is not replayed at all: its member is the one exact LRU kernel,
+:func:`~repro.core.fastsim.lru_stack_distances`, over the same grouping.
+
+Per-policy kernels replay each set's run heads through a tiny
+transliteration of the corresponding
 :class:`~repro.core.replacement.ReplacementPolicy` state machine (cold
 fills take the lowest empty way first, exactly like
-``SetAssociativeCache._access_block``).  FIFO reduces further: cold fills
-take ways ``0..w-1`` in order and refills cycle through them, so the
-victim of fill number ``f`` is simply ``f mod w``.  Random is the one
-policy that is *not* set-decomposable — all sets share one seeded PCG64
-generator, so the victim stream is coupled to the global interleaving of
-misses — and is replayed in global program order over the same compressed
-stream, drawing from the generator in bulk when a one-time probe proves
-NumPy's bulk ``integers`` word-compatible with scalar draws (the same
-state-restoring discipline as the trace recorder's PCG64 replay), and
-falling back to per-victim scalar draws otherwise.
+``SetAssociativeCache._access_block``) and return only the miss vector.
+FIFO reduces further: cold fills take ways ``0..w-1`` in order and refills
+cycle through them, so the victim of fill number ``f`` is simply
+``f mod w``.  Random is the one policy that is *not* set-decomposable — all
+sets share one seeded PCG64 generator, so the victim stream is coupled to
+the global interleaving of misses — and is replayed in global program order
+over the same run heads, drawing from the generator in bulk when a one-time
+probe proves NumPy's bulk ``integers`` word-compatible with scalar draws,
+and falling back to per-victim scalar draws otherwise.
 
 Entry points
 ------------
-* :func:`policy_miss_flags` — per-access boolean miss vector (LRU routes
-  to the vectorised stack-distance kernel).
+* :func:`policy_miss_flags` — per-access boolean miss vector for any
+  policy, optionally over a grouping the caller already holds.
 * :func:`simulate_policy_set_associative` — the stats-level engine behind
   ``policysweep`` cells and the CLI; ``engine="auto"``/``"sequential"``
   with identical packaging either way.
 * :func:`simulate_policy_sweep` — a *policy sweep*: many policies over one
-  decode + one index computation + one set-grouping pass (the engine's
-  "policy" family axis).
-* :func:`simulate_policy` — the cache-object dispatcher mirroring
-  :func:`~repro.core.fastassoc.simulate_progassoc`: fires only when
-  provably exact (a pristine ``SetAssociativeCache`` with a registered
-  policy), reconstructs the full end state, and otherwise falls back to
-  the sequential reference engine.
+  decode and one set grouping (the engine's "policy" family axis).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from functools import lru_cache
 
 import numpy as np
 
 from ..trace.event import Trace
 from .address import CacheGeometry
-from .caches.base import EMPTY, CacheStats
+from .caches.base import EMPTY
 from .caches.set_associative import SetAssociativeCache
-from .fastsim import lru_miss_flags, per_set_counts
+from .fastsim import SetGroups, decode, group_by_set, lru_miss_flags
 from .indexing.base import IndexingScheme
-from .replacement import (
-    POLICIES,
-    FIFOPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    MRUPolicy,
-    PLRUPolicy,
-    RandomPolicy,
-)
-from .simulator import SimulationResult, _result_from_stats, simulate
+from .replacement import POLICIES
+from .simulator import SimulationResult, _vectorised_result, simulate
 
 __all__ = [
     "FAST_POLICIES",
-    "has_policy_fast_path",
     "policy_miss_flags",
-    "simulate_policy",
     "simulate_policy_set_associative",
     "simulate_policy_sweep",
 ]
@@ -97,107 +82,25 @@ FAST_POLICIES = ("lru", "fifo", "random", "plru", "mru", "lfu")
 _ENGINES = ("auto", "sequential")
 
 
-# -- shared set decomposition -----------------------------------------------------
-
-
-@dataclass
-class _Grouped:
-    """One set-grouped, repeat-compressed view of an access stream.
-
-    Sorted coordinates are stable-by-set (program order within each set);
-    ``order`` maps sorted position → original position.  ``kept_pos`` are
-    the sorted positions of run heads (adjacent same-(set, block) repeats
-    removed), ``run_len`` the length of each run, and ``bounds`` the group
-    boundaries of the kept arrays (one ``[start, end)`` pair per distinct
-    set present in the trace).
-    """
-
-    n: int
-    order: np.ndarray
-    sorted_idx: np.ndarray
-    kept_pos: np.ndarray
-    run_len: np.ndarray
-    kept_idx: np.ndarray
-    kept_blk: np.ndarray
-    bounds: np.ndarray  # group start offsets into the kept arrays, + final end
-
-
-def _group_by_set(blocks: np.ndarray, indices: np.ndarray) -> _Grouped:
-    n = int(blocks.size)
-    indices64 = np.ascontiguousarray(indices, dtype=np.int64)
-    if n and int(indices64.max()) < (1 << 62) // max(n, 1):
-        # Packed-key grouping (see fastsim.lru_stack_distances): the key
-        # sorts by (set, program order) and decodes both outputs.
-        key = np.sort(indices64 * np.int64(n) + np.arange(n, dtype=np.int64))
-        sorted_idx = key // n
-        order = key - sorted_idx * n
-    else:
-        order = np.argsort(indices64, kind="stable")
-        sorted_idx = indices64[order]
-    sorted_blk = np.ascontiguousarray(np.asarray(blocks)[order])
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (sorted_idx[1:] == sorted_idx[:-1]) & (
-        sorted_blk[1:] == sorted_blk[:-1]
-    )
-    kept_pos = np.flatnonzero(~repeat)
-    run_len = np.diff(np.concatenate((kept_pos, [n])))
-    kept_idx = np.ascontiguousarray(sorted_idx[kept_pos])
-    kept_blk = np.ascontiguousarray(sorted_blk[kept_pos])
-    if kept_idx.size:
-        starts = np.flatnonzero(
-            np.concatenate(([True], kept_idx[1:] != kept_idx[:-1]))
-        )
-        bounds = np.concatenate((starts, [kept_idx.size]))
-    else:
-        bounds = np.zeros(1, dtype=np.int64)
-    return _Grouped(
-        n=n,
-        order=order,
-        sorted_idx=sorted_idx,
-        kept_pos=kept_pos,
-        run_len=run_len,
-        kept_idx=kept_idx,
-        kept_blk=kept_blk,
-        bounds=bounds,
-    )
-
-
-def _expand(g: _Grouped, miss_kept, way_kept) -> tuple[np.ndarray, np.ndarray]:
-    """Kept-stream outcomes → per-access (miss, way) in original order."""
-    miss_sorted = np.zeros(g.n, dtype=bool)
-    miss_sorted[g.kept_pos] = np.frombuffer(miss_kept, dtype=np.uint8).astype(bool)
-    way_sorted = np.repeat(np.asarray(way_kept, dtype=np.int64), g.run_len)
-    miss = np.empty(g.n, dtype=bool)
-    miss[g.order] = miss_sorted
-    ways = np.empty(g.n, dtype=np.int64)
-    ways[g.order] = way_sorted
-    return miss, ways
-
-
 # -- per-policy replay kernels ----------------------------------------------------
 #
-# Each kernel consumes the kept (run-head) stream and returns
-# ``(miss_kept: bytearray, way_kept: list[int])`` plus optional policy
-# state it alone can reconstruct.  Loops run over plain Python ints
-# (one bulk .tolist() per array) — the same boxing-hoist discipline as
-# simulate()/fastassoc — with per-set dict-based residency.
+# Each set-decomposed kernel consumes the run-head stream of a SetGroups
+# and returns one miss byte per run head.  Loops run over plain Python
+# ints (one bulk .tolist() per array) — the same boxing-hoist discipline
+# as simulate()/fastassoc — with per-set dict-based residency.
 
 
-def _replay_fifo(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
-    nk = g.kept_idx.size
-    miss = bytearray(nk)
-    way_out = [0] * nk
+def _replay_fifo(g: SetGroups, ways: int) -> bytearray:
+    miss = bytearray(g.kept_pos.size)
     blk_l = g.kept_blk.tolist()
     bounds = g.bounds.tolist()
     for gi in range(len(bounds) - 1):
-        a, b = bounds[gi], bounds[gi + 1]
-        resident: dict[int, int] = {}
+        resident: set[int] = set()
         blkof = [EMPTY] * ways
         fills = 0
-        for j in range(a, b):
+        for j in range(bounds[gi], bounds[gi + 1]):
             blk = blk_l[j]
-            wy = resident.get(blk, -1)
-            if wy < 0:
+            if blk not in resident:
                 miss[j] = 1
                 # Cold fills take ways 0..w-1 in order; refills then cycle
                 # through them in the same order (the FIFO queue is a pure
@@ -205,59 +108,23 @@ def _replay_fifo(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
                 wy = fills % ways
                 old = blkof[wy]
                 if old != EMPTY:
-                    del resident[old]
-                resident[blk] = wy
+                    resident.remove(old)
+                resident.add(blk)
                 blkof[wy] = blk
                 fills += 1
-            way_out[j] = wy
-    return miss, way_out
+    return miss
 
 
-def _replay_lru(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
-    nk = g.kept_idx.size
-    miss = bytearray(nk)
-    way_out = [0] * nk
+def _replay_mru(g: SetGroups, ways: int) -> bytearray:
+    miss = bytearray(g.kept_pos.size)
     blk_l = g.kept_blk.tolist()
     bounds = g.bounds.tolist()
     for gi in range(len(bounds) - 1):
-        a, b = bounds[gi], bounds[gi + 1]
-        resident: dict[int, int] = {}
-        blkof = [EMPTY] * ways
-        lastuse = [-1] * ways
-        occ = 0
-        seq = 0
-        for j in range(a, b):
-            blk = blk_l[j]
-            wy = resident.get(blk, -1)
-            if wy < 0:
-                miss[j] = 1
-                if occ < ways:
-                    wy = occ
-                    occ += 1
-                else:
-                    wy = lastuse.index(min(lastuse))
-                    del resident[blkof[wy]]
-                resident[blk] = wy
-                blkof[wy] = blk
-            seq += 1
-            lastuse[wy] = seq
-            way_out[j] = wy
-    return miss, way_out
-
-
-def _replay_mru(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
-    nk = g.kept_idx.size
-    miss = bytearray(nk)
-    way_out = [0] * nk
-    blk_l = g.kept_blk.tolist()
-    bounds = g.bounds.tolist()
-    for gi in range(len(bounds) - 1):
-        a, b = bounds[gi], bounds[gi + 1]
         resident: dict[int, int] = {}
         blkof = [EMPTY] * ways
         occ = 0
         prev_way = 0
-        for j in range(a, b):
+        for j in range(bounds[gi], bounds[gi + 1]):
             blk = blk_l[j]
             wy = resident.get(blk, -1)
             if wy < 0:
@@ -277,29 +144,20 @@ def _replay_mru(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
                 resident[blk] = wy
                 blkof[wy] = blk
             prev_way = wy
-            way_out[j] = wy
-    return miss, way_out
+    return miss
 
 
-def _replay_lfu(
-    g: _Grouped, ways: int
-) -> tuple[bytearray, list[int], list[tuple[int, list[int]]]]:
-    """LFU replay; also returns the final counts per touched set."""
-    nk = g.kept_idx.size
-    miss = bytearray(nk)
-    way_out = [0] * nk
+def _replay_lfu(g: SetGroups, ways: int) -> bytearray:
+    miss = bytearray(g.kept_pos.size)
     blk_l = g.kept_blk.tolist()
     run_l = g.run_len.tolist()
     bounds = g.bounds.tolist()
-    idx_l = g.kept_idx
-    rows: list[tuple[int, list[int]]] = []
     for gi in range(len(bounds) - 1):
-        a, b = bounds[gi], bounds[gi + 1]
         resident: dict[int, int] = {}
         blkof = [EMPTY] * ways
         counts = [0] * ways
         occ = 0
-        for j in range(a, b):
+        for j in range(bounds[gi], bounds[gi + 1]):
             blk = blk_l[j]
             r = run_l[j]
             wy = resident.get(blk, -1)
@@ -320,9 +178,7 @@ def _replay_lfu(
                 counts[wy] = r
             else:
                 counts[wy] += r
-            way_out[j] = wy
-        rows.append((int(idx_l[a]), counts))
-    return miss, way_out, rows
+    return miss
 
 
 @lru_cache(maxsize=None)
@@ -341,26 +197,18 @@ def _plru_touch_ops(ways: int) -> tuple:
     return tuple(ops)
 
 
-def _replay_plru(
-    g: _Grouped, ways: int
-) -> tuple[bytearray, list[int], list[tuple[int, list[int]]]]:
-    """PLRU replay; also returns the final tree bits per touched set."""
-    nk = g.kept_idx.size
-    miss = bytearray(nk)
-    way_out = [0] * nk
+def _replay_plru(g: SetGroups, ways: int) -> bytearray:
+    miss = bytearray(g.kept_pos.size)
     blk_l = g.kept_blk.tolist()
     bounds = g.bounds.tolist()
-    idx_l = g.kept_idx
     touch_ops = _plru_touch_ops(ways)
     levels = max(ways.bit_length() - 1, 0)
-    rows: list[tuple[int, list[int]]] = []
     for gi in range(len(bounds) - 1):
-        a, b = bounds[gi], bounds[gi + 1]
         resident: dict[int, int] = {}
         blkof = [EMPTY] * ways
         bits = [0] * max(ways - 1, 1)
         occ = 0
-        for j in range(a, b):
+        for j in range(bounds[gi], bounds[gi + 1]):
             blk = blk_l[j]
             wy = resident.get(blk, -1)
             if wy < 0:
@@ -383,9 +231,15 @@ def _replay_plru(
             # repeats collapse because re-touching rewrites the same bits.
             for node, val in touch_ops[wy]:
                 bits[node] = val
-            way_out[j] = wy
-        rows.append((int(idx_l[a]), bits))
-    return miss, way_out, rows
+    return miss
+
+
+_SET_KERNELS = {
+    "fifo": _replay_fifo,
+    "mru": _replay_mru,
+    "lfu": _replay_lfu,
+    "plru": _replay_plru,
+}
 
 
 @lru_cache(maxsize=None)
@@ -412,192 +266,60 @@ def _bulk_draws_exact(ways: int) -> bool:
 def _replay_random(
     blocks: np.ndarray,
     indices: np.ndarray,
-    g: _Grouped,
+    g: SetGroups,
     num_sets: int,
     ways: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
-    """Global-order seeded-Random replay.
+) -> np.ndarray:
+    """Global-order seeded-Random replay; returns the per-access miss vector.
 
     One generator serves every set, so victims depend on the global
-    interleaving of misses across sets: the replay walks the run-head
-    accesses in *program* order (repeats are hits for Random too and
-    consume no randomness).  Returns per-access (miss, way) vectors plus
-    the exact post-run generator.
+    interleaving of misses across sets: the replay walks the run heads in
+    *program* order (repeats are hits for Random too and consume no
+    randomness).
     """
-    n = g.n
     heads = np.sort(g.order[g.kept_pos])
-    idx_l = indices.astype(np.int64)[heads].tolist()
+    idx_l = np.asarray(indices, dtype=np.int64)[heads].tolist()
     blk_l = np.asarray(blocks)[heads].tolist()
-    nk = len(idx_l)
-    miss_head = bytearray(nk)
-    way_head = [0] * nk
+    miss_head = bytearray(len(idx_l))
     occ = [0] * num_sets
     blkof = [EMPTY] * (num_sets * ways)
-    resident: dict[int, int] = {}
+    resident: set[int] = set()
     rng = np.random.default_rng(seed)
     bulk = _bulk_draws_exact(ways)
     buf: list[int] = []
     bp = 0
     bsize = 1024
-    ndraws = 0
-    for k in range(nk):
+    for k in range(len(idx_l)):
         s = idx_l[k]
         blk = blk_l[k]
         key = blk * num_sets + s
-        wy = resident.get(key, -1)
-        if wy < 0:
-            miss_head[k] = 1
-            o = occ[s]
-            if o < ways:
-                wy = o
-                occ[s] = o + 1
+        if key in resident:
+            continue
+        miss_head[k] = 1
+        o = occ[s]
+        if o < ways:
+            wy = o
+            occ[s] = o + 1
+        else:
+            if bulk:
+                if bp == len(buf):
+                    buf = rng.integers(ways, size=bsize).tolist()
+                    bp = 0
+                    bsize = min(bsize * 2, 1 << 16)
+                wy = buf[bp]
+                bp += 1
             else:
-                if bulk:
-                    if bp == len(buf):
-                        buf = rng.integers(ways, size=bsize).tolist()
-                        bp = 0
-                        bsize = min(bsize * 2, 1 << 16)
-                    wy = buf[bp]
-                    bp += 1
-                else:
-                    wy = int(rng.integers(ways))
-                ndraws += 1
-                base = s * ways
-                del resident[blkof[base + wy] * num_sets + s]
-            resident[key] = wy
-            blkof[s * ways + wy] = blk
-        way_head[k] = wy
-    if bulk:
-        # The working generator over-drew (bulk refills); the exact post-run
-        # state is a fresh generator advanced by precisely the consumed
-        # draws — word-identical because the probe proved bulk ≡ scalar.
-        rng = np.random.default_rng(seed)
-        if ndraws:
-            rng.integers(ways, size=ndraws)
-    miss = np.zeros(n, dtype=bool)
+                wy = int(rng.integers(ways))
+            resident.remove(blkof[s * ways + wy] * num_sets + s)
+        resident.add(key)
+        blkof[s * ways + wy] = blk
+    miss = np.zeros(g.n, dtype=bool)
     miss[heads] = np.frombuffer(miss_head, dtype=np.uint8).astype(bool)
-    way_at_head = np.zeros(n, dtype=np.int64)
-    way_at_head[heads] = np.asarray(way_head, dtype=np.int64)
-    # Propagate run-head ways over their repeats (sorted coords), then
-    # scatter back to program order.
-    way_sorted = np.repeat(way_at_head[g.order[g.kept_pos]], g.run_len)
-    ways_all = np.empty(n, dtype=np.int64)
-    ways_all[g.order] = way_sorted
-    return miss, ways_all, rng
-
-
-# -- stats-level engine -----------------------------------------------------------
-
-
-def _kernel_outcomes(
-    blocks: np.ndarray,
-    indices: np.ndarray,
-    num_sets: int,
-    ways: int,
-    policy: str,
-    seed: int,
-    g: _Grouped | None = None,
-):
-    """Per-access (miss, way) vectors + policy-private end state.
-
-    Returns ``(miss, ways_all, private)`` where ``private`` is the
-    policy-specific state only the replay can produce: LFU count rows /
-    PLRU bit rows (``(set, values)`` pairs), the post-run generator for
-    Random, ``None`` otherwise.
-    """
-    if g is None:
-        g = _group_by_set(blocks, indices)
-    if policy == "random":
-        return _replay_random(blocks, indices, g, num_sets, ways, seed)
-    if policy == "fifo":
-        miss_k, way_k = _replay_fifo(g, ways)
-        private = None
-    elif policy == "lru":
-        miss_k, way_k = _replay_lru(g, ways)
-        private = None
-    elif policy == "mru":
-        miss_k, way_k = _replay_mru(g, ways)
-        private = None
-    elif policy == "lfu":
-        miss_k, way_k, private = _replay_lfu(g, ways)
-    elif policy == "plru":
-        if ways & (ways - 1):
-            raise ValueError("PLRU requires a power-of-two way count")
-        miss_k, way_k, private = _replay_plru(g, ways)
-    else:
-        raise ValueError(
-            f"unknown replacement policy {policy!r}; known: {sorted(POLICIES)}"
-        )
-    miss, ways_all = _expand(g, miss_k, way_k)
-    return miss, ways_all, private
-
-
-def policy_miss_flags(
-    blocks: np.ndarray,
-    indices: np.ndarray,
-    ways: int,
-    policy: str,
-    num_sets: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Boolean miss vector for a ``ways``-way cache under any policy.
-
-    Exact and bit-identical to driving
-    :class:`~repro.core.caches.SetAssociativeCache` one access at a time.
-    ``num_sets`` bounds the set-index range (required for ``random``,
-    whose generator is shared across sets; inferred from the indices
-    otherwise).  LRU routes to the vectorised stack-distance kernel.
-    """
-    if ways < 1:
-        raise ValueError("ways must be a positive integer")
-    if policy == "lru":
-        return lru_miss_flags(blocks, indices, ways)
-    if num_sets is None:
-        num_sets = int(np.asarray(indices).max()) + 1 if np.asarray(indices).size else 1
-    miss, _ways_all, _private = _kernel_outcomes(
-        np.asarray(blocks), np.asarray(indices), num_sets, ways, policy, seed
-    )
     return miss
 
 
-def _canonical_model(scheme_name: str, ways: int, policy: str) -> str:
-    return f"set_associative[{scheme_name},{ways}way,{policy}]"
-
-
-def _package(
-    model: str,
-    trace_name: str,
-    indices: np.ndarray,
-    miss: np.ndarray,
-    num_sets: int,
-) -> SimulationResult:
-    accesses, misses = per_set_counts(indices, miss, num_sets)
-    total = int(indices.size)
-    total_misses = int(miss.sum())
-    hits = total - total_misses
-    return SimulationResult(
-        model=model,
-        trace_name=trace_name,
-        accesses=total,
-        hits=hits,
-        misses=total_misses,
-        lookup_cycles=total,  # one cycle per access
-        slot_accesses=accesses,
-        slot_hits=accesses - misses,
-        slot_misses=misses,
-        # SetAssociativeCache classes every hit as "direct"; the key is
-        # absent when hits == 0, matching the sequential engine's dict.
-        extra={"direct_hits": hits} if hits else {},
-    )
-
-
-def _decode(scheme: IndexingScheme, trace: Trace, geometry: CacheGeometry):
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
-    return blocks, indices
+# -- stats-level engine -----------------------------------------------------------
 
 
 def _validate_policy(policy: str, ways: int) -> None:
@@ -607,6 +329,44 @@ def _validate_policy(policy: str, ways: int) -> None:
         )
     if policy == "plru" and ways & (ways - 1):
         raise ValueError("PLRU requires a power-of-two way count")
+
+
+def policy_miss_flags(
+    blocks: np.ndarray,
+    indices: np.ndarray,
+    ways: int,
+    policy: str,
+    num_sets: int | None = None,
+    seed: int = 0,
+    groups: SetGroups | None = None,
+) -> np.ndarray:
+    """Boolean miss vector for a ``ways``-way cache under any policy.
+
+    Exact and bit-identical to driving
+    :class:`~repro.core.caches.SetAssociativeCache` one access at a time.
+    ``num_sets`` bounds the set-index range (required for ``random``,
+    whose generator is shared across sets; inferred from the indices
+    otherwise).  ``groups`` is ``group_by_set(blocks, indices)`` when the
+    caller already holds it.  LRU routes to the stack-distance kernel.
+    """
+    if ways < 1:
+        raise ValueError("ways must be a positive integer")
+    _validate_policy(policy, ways)
+    if policy == "lru":
+        return lru_miss_flags(blocks, indices, ways, groups)
+    g = group_by_set(blocks, indices) if groups is None else groups
+    if policy == "random":
+        if num_sets is None:
+            num_sets = int(np.max(indices)) + 1 if g.n else 1
+        return _replay_random(blocks, indices, g, num_sets, ways, seed)
+    miss_sorted = np.zeros(g.n, dtype=bool)
+    miss_kept = _SET_KERNELS[policy](g, ways)
+    miss_sorted[g.kept_pos] = np.frombuffer(miss_kept, dtype=np.uint8).astype(bool)
+    return g.unsort(miss_sorted)
+
+
+def _canonical_model(scheme_name: str, ways: int, policy: str) -> str:
+    return f"set_associative[{scheme_name},{ways}way,{policy}]"
 
 
 def simulate_policy_set_associative(
@@ -653,19 +413,13 @@ def simulate_policy_set_associative(
         cache = SetAssociativeCache(geometry, scheme, policy=policy, seed=seed)
         res = simulate(cache, trace, warmup=warmup)
         return dc_replace(res, model=model)
-    blocks, indices = _decode(scheme, trace, geometry)
-    if policy == "lru":
-        miss = lru_miss_flags(blocks, indices, ways)
-    else:
-        miss, _ways_all, _private = _kernel_outcomes(
-            blocks, indices, geometry.num_sets, ways, policy, seed
-        )
-    if warmup:
-        # Replay state is continuous, so the suffix flags are exactly a
-        # warmed-up run's (the same argument as the LRU warmup path).
-        miss = miss[warmup:]
-        indices = indices[warmup:]
-    return _package(model, trace.name, indices, miss, geometry.num_sets)
+    blocks, indices = decode(scheme, trace, geometry)
+    miss = policy_miss_flags(
+        blocks, indices, ways, policy, num_sets=geometry.num_sets, seed=seed
+    )
+    return _vectorised_result(
+        model, trace.name, indices, miss, geometry.num_sets, warmup=warmup
+    )
 
 
 def simulate_policy_sweep(
@@ -678,13 +432,12 @@ def simulate_policy_sweep(
 ) -> list[SimulationResult]:
     """One *policy sweep* under one indexing scheme and geometry.
 
-    Every member shares one trace decode, one index computation and one
-    set-decomposition pass; each policy then replays its own kernel off
-    the shared grouped arrays (Random re-walks the shared run heads in
-    program order).  Returns one result per policy, in order, each
-    bit-identical (per-set counts included) to its
-    :func:`simulate_policy_set_associative` per-cell equivalent — the
-    contract behind the engine's "policy" family axis.
+    Every member shares one decode and one set grouping; each policy then
+    runs its own kernel off the shared grouping (LRU: stack distances;
+    Random re-walks the shared run heads in program order).  Returns one
+    result per policy, in order, each bit-identical (per-set counts
+    included) to its :func:`simulate_policy_set_associative` per-cell
+    equivalent — the contract behind the engine's "policy" family axis.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
@@ -699,184 +452,18 @@ def simulate_policy_sweep(
             )
             for p in policies
         ]
-    blocks, indices = _decode(scheme, trace, geometry)
-    g = _group_by_set(blocks, indices)
-    results = []
-    for policy in policies:
-        if policy == "lru":
-            # The replay kernel is exact for LRU too, and reuses the shared
-            # grouping instead of re-sorting inside lru_miss_flags.
-            miss_k, way_k = _replay_lru(g, ways)
-            miss, _ = _expand(g, miss_k, way_k)
-        else:
-            miss, _ways_all, _private = _kernel_outcomes(
-                blocks, indices, geometry.num_sets, ways, policy, seed, g=g
-            )
-        results.append(
-            _package(
-                _canonical_model(scheme.name, ways, policy),
-                trace.name,
-                indices,
-                miss,
-                geometry.num_sets,
-            )
+    blocks, indices = decode(scheme, trace, geometry)
+    g = group_by_set(blocks, indices)
+    return [
+        _vectorised_result(
+            _canonical_model(scheme.name, ways, policy),
+            trace.name,
+            indices,
+            policy_miss_flags(
+                blocks, indices, ways, policy,
+                num_sets=geometry.num_sets, seed=seed, groups=g,
+            ),
+            geometry.num_sets,
         )
-    return results
-
-
-# -- cache-object dispatcher ------------------------------------------------------
-
-_POLICY_TYPES = {
-    LRUPolicy: "lru",
-    FIFOPolicy: "fifo",
-    RandomPolicy: "random",
-    PLRUPolicy: "plru",
-    MRUPolicy: "mru",
-    LFUPolicy: "lfu",
-}
-
-
-def _pristine(cache: SetAssociativeCache) -> bool:
-    """True iff the cache (contents + policy) is in just-constructed state.
-
-    The kernels replay from a cold cache; any pre-existing contents (e.g. a
-    second simulate() over the same object) routes to the sequential
-    reference engine instead — exactness over speed.
-    """
-    if np.any(cache._blocks != EMPTY):
-        return False
-    policy = cache.policy
-    if type(policy) in (LRUPolicy, FIFOPolicy, MRUPolicy):
-        return policy._clock == 0 and bool(np.all(policy._stamp == -1))
-    if type(policy) is LFUPolicy:
-        return bool(np.all(policy._count == 0))
-    if type(policy) is PLRUPolicy:
-        return bool(np.all(policy._bits == 0))
-    if type(policy) is RandomPolicy:
-        fresh = np.random.default_rng(policy._seed)
-        return policy._rng.bit_generator.state == fresh.bit_generator.state
-    return False
-
-
-def has_policy_fast_path(cache) -> bool:
-    """True iff :func:`simulate_policy` would take the replay kernels."""
-    return (
-        type(cache) is SetAssociativeCache
-        and type(cache.policy) in _POLICY_TYPES
-        and _pristine(cache)
-    )
-
-
-def _restore_state(
-    cache: SetAssociativeCache,
-    blocks: np.ndarray,
-    indices: np.ndarray,
-    miss: np.ndarray,
-    ways_all: np.ndarray,
-    private,
-) -> None:
-    """Write the exact end-of-trace state into the cache object."""
-    num_sets = cache.geometry.num_sets
-    ways = cache.geometry.ways
-    n = int(blocks.size)
-    idx64 = np.ascontiguousarray(indices, dtype=np.int64)
-    slotway = idx64 * ways + ways_all
-    fills = np.flatnonzero(miss)
-    # Contents: the block of each (set, way)'s last fill (hits don't move
-    # blocks; positions increase, so maximum.at keeps the last).
-    last_fill = np.full(num_sets * ways, -1, dtype=np.int64)
-    np.maximum.at(last_fill, slotway[fills], fills)
-    filled = last_fill >= 0
-    flat = np.full(num_sets * ways, EMPTY, dtype=np.int64)
-    flat[filled] = blocks[last_fill[filled]]
-    cache._blocks[:] = flat.reshape(num_sets, ways)
-    policy = cache.policy
-    kind = _POLICY_TYPES[type(policy)]
-    if kind in ("lru", "mru"):
-        # Every access touches exactly once (fill defaults to touch), so
-        # the clock ends at n and a way's stamp is its last touch position
-        # (1-based).
-        stamp = np.full(num_sets * ways, -1, dtype=np.int64)
-        if n:
-            np.maximum.at(stamp, slotway, np.arange(1, n + 1, dtype=np.int64))
-        policy._stamp[:] = stamp.reshape(num_sets, ways)
-        policy._clock = n
-    elif kind == "fifo":
-        # Only fills advance the clock; a way's stamp is the global rank of
-        # its last fill.
-        ranks = np.cumsum(miss)
-        stamp = np.full(num_sets * ways, -1, dtype=np.int64)
-        if fills.size:
-            np.maximum.at(stamp, slotway[fills], ranks[fills])
-        policy._stamp[:] = stamp.reshape(num_sets, ways)
-        policy._clock = int(miss.sum())
-    elif kind == "lfu":
-        # Replay-private rows carry the exact per-set counts.
-        policy._count.fill(0)
-        for set_index, counts in private:
-            policy._count[set_index] = counts
-    elif kind == "plru":
-        policy._bits.fill(0)
-        for set_index, bits in private:
-            policy._bits[set_index] = bits
-    elif kind == "random":
-        policy._rng = private
-
-
-def simulate_policy(
-    cache: SetAssociativeCache,
-    trace: Trace,
-    engine: str = "auto",
-    warmup: int = 0,
-    check_invariants_every: int = 0,
-) -> SimulationResult:
-    """Drive a :class:`SetAssociativeCache` through the fast policy kernels.
-
-    A drop-in accelerator for :func:`~repro.core.simulator.simulate` on
-    set-associative caches, mirroring
-    :func:`~repro.core.fastassoc.simulate_progassoc`: ``engine="auto"``
-    takes the exact replay kernels when the cache is a pristine
-    ``SetAssociativeCache`` with a registered policy, reconstructing the
-    full end state (contents, stats, policy internals — RNG position
-    included) so follow-on inspection sees exactly what the sequential
-    engine would have left behind.  Anything else — subclasses, pre-warmed
-    contents, invariant checking — falls back to :func:`simulate`.
-    """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if (
-        engine != "auto"
-        or check_invariants_every
-        or not has_policy_fast_path(cache)
-    ):
-        return simulate(
-            cache, trace, warmup=warmup, check_invariants_every=check_invariants_every
-        )
-    n = len(trace)
-    if warmup >= n and n > 0:
-        raise ValueError("warmup consumes the entire trace")
-    geometry = cache.geometry
-    policy_name = _POLICY_TYPES[type(cache.policy)]
-    seed = cache.policy._seed if policy_name == "random" else 0
-    blocks, indices = _decode(cache.indexing, trace, geometry)
-    miss, ways_all, private = _kernel_outcomes(
-        blocks, indices, geometry.num_sets, geometry.ways, policy_name, seed
-    )
-    _restore_state(cache, blocks, indices, miss, ways_all, private)
-    counted_idx = indices[warmup:] if warmup else indices
-    counted_miss = miss[warmup:] if warmup else miss
-    accesses, misses = per_set_counts(counted_idx, counted_miss, geometry.num_sets)
-    total = int(counted_idx.size)
-    total_misses = int(counted_miss.sum())
-    hits = total - total_misses
-    stats = CacheStats(geometry.num_sets)
-    stats.accesses = total
-    stats.hits = hits
-    stats.misses = total_misses
-    stats.slot_accesses = accesses
-    stats.slot_hits = accesses - misses
-    stats.slot_misses = misses
-    if hits:
-        stats.extra["direct_hits"] = hits
-    cache.stats = stats
-    return _result_from_stats(cache.name, trace.name, stats, total)
+        for policy in policies
+    ]

@@ -1,24 +1,36 @@
-"""Vectorised cache-simulation primitives (direct-mapped and k-way LRU).
+"""Vectorised cache-simulation stages and kernels (direct-mapped, k-way LRU).
 
-A direct-mapped cache has a one-line "history" per set, so its hit/miss
-outcome stream is a pure function of, per set, the sequence of block
-addresses mapped there: an access misses iff it is the first access to its
-set or the previous access to the same set carried a different block.
+Every vectorised fast path in :mod:`repro.core` runs the same three stages:
 
-That observation turns direct-mapped simulation into sort + adjacent-compare,
-which NumPy executes orders of magnitude faster than a Python loop.  This is
-the fast path behind every indexing-scheme experiment (paper Figures 4, 9,
-10, 13) and behind the Patel index search, which needs thousands of
+1. :func:`decode` maps a trace to ``(blocks, indices)`` under an indexing
+   scheme.  It indexes *block-aligned* addresses (``block << offset_bits``),
+   exactly as the cache models do one access at a time, so a scheme that
+   reads offset bits gets the same set on either engine; it also holds the
+   single out-of-range check.
+2. :func:`group_by_set` sorts the accesses stably by set (one packed-key
+   ``np.sort``, a stable ``argsort`` only for pathological index ranges)
+   and marks the *run heads*: accesses that do not repeat the previous
+   access to their set.
+3. A kernel turns the grouping into a miss vector, and
+   :func:`~repro.core.simulator._vectorised_result` packages it.
+
+A direct-mapped cache has a one-line "history" per set, so its outcome is
+a pure function of the grouping: an access misses iff it is a run head.
+That turns direct-mapped simulation into sort + adjacent-compare, which
+NumPy executes orders of magnitude faster than a Python loop.  This is the
+fast path behind every indexing-scheme experiment (paper Figures 4, 9, 10,
+13) and behind the Patel index search, which needs thousands of
 whole-trace miss counts.
 
 k-way LRU generalises the same idea through the classic *stack-distance*
 observation (Mattson et al.): under LRU, an access hits a ``k``-way set iff
 fewer than ``k`` distinct other blocks of the same set were touched since
-the previous access to the same block.  :func:`lru_miss_flags` computes the
-exact per-access reuse distances offline — stable sort by set, a
+the previous access to the same block.  :func:`lru_stack_distances` is the
+one exact LRU kernel: over the run heads of the grouping it runs a
 previous-occurrence pass, then an offline dominance-counting pass (the
-vectorised equivalent of a Fenwick-tree sweep) — in O(n log n) NumPy work
-with no per-access Python objects.  At ``ways=1`` it degenerates to
+vectorised equivalent of a Fenwick-tree sweep) — O(n log n) NumPy work with
+no per-access Python objects.  One distance pass answers every
+associativity; at ``ways=1`` it degenerates to
 :func:`direct_mapped_miss_flags`.
 
 The sequential engine in :mod:`repro.core.simulator` computes the same
@@ -29,11 +41,24 @@ ways ∈ {1, 2, 4, 8}.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
+
 import numpy as np
 
+if TYPE_CHECKING:
+    from ..trace.event import Trace
+    from .address import CacheGeometry
+    from .indexing.base import IndexingScheme
+
 __all__ = [
+    "SetGroups",
+    "decode",
     "direct_mapped_miss_flags",
     "direct_mapped_miss_count",
+    "group_bounds",
+    "group_by_set",
     "lru_miss_flags",
     "lru_miss_count",
     "lru_stack_distances",
@@ -42,7 +67,126 @@ __all__ = [
 ]
 
 
-def direct_mapped_miss_flags(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
+# -- shared stages --------------------------------------------------------------------
+
+
+def decode(
+    scheme: IndexingScheme, trace: Trace, geometry: CacheGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(blocks, indices)`` of every access, both ``int64``.
+
+    The scheme sees block-aligned addresses, as the cache models'
+    ``index_of(block << offset_bits)`` does.
+    """
+    offset = np.uint64(geometry.offset_bits)
+    # One buffer serves both outputs (traces can be millions of accesses):
+    # it holds the block-aligned addresses while the scheme reads them,
+    # then is shifted back in place and reinterpreted as the blocks.
+    words = trace.blocks(geometry.offset_bits)
+    words <<= offset
+    indices = np.ascontiguousarray(scheme.indices_of(words), dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
+        raise ValueError("indexing scheme produced an out-of-range set index")
+    words >>= offset
+    return words.view(np.int64), indices
+
+
+def group_bounds(sorted_ids: np.ndarray) -> np.ndarray:
+    """Start offsets of the equal-id runs of a sorted array, plus its length:
+    run ``k`` is ``[bounds[k], bounds[k + 1])``."""
+    n = sorted_ids.size
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    changes = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+    return np.concatenate(([0], changes, [n]))
+
+
+@dataclass
+class SetGroups:
+    """One set-grouped view of an access stream (see :func:`group_by_set`).
+
+    Sorted coordinates are stable-by-set (program order within each set);
+    ``order`` maps sorted position → original position.  ``head`` marks
+    the run heads: sorted positions whose (set, block) differs from the
+    previous sorted position's.  The run-head ("kept") arrays are derived
+    on first use, so kernels that need only ``head`` pay nothing for them.
+    """
+
+    n: int
+    order: np.ndarray
+    sorted_idx: np.ndarray
+    sorted_blk: np.ndarray
+    head: np.ndarray
+
+    @cached_property
+    def kept_pos(self) -> np.ndarray:
+        """Sorted positions of the run heads."""
+        return np.flatnonzero(self.head)
+
+    @cached_property
+    def run_len(self) -> np.ndarray:
+        """Accesses per run (the head plus its adjacent repeats)."""
+        return np.diff(np.append(self.kept_pos, self.n))
+
+    @cached_property
+    def kept_idx(self) -> np.ndarray:
+        return self.sorted_idx[self.kept_pos]
+
+    @cached_property
+    def kept_blk(self) -> np.ndarray:
+        return self.sorted_blk[self.kept_pos]
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """:func:`group_bounds` of the kept arrays: one run per set present."""
+        return group_bounds(self.kept_idx)
+
+    def unsort(self, sorted_values: np.ndarray) -> np.ndarray:
+        """Scatter a per-sorted-position vector back to program order."""
+        out = np.empty_like(sorted_values)
+        out[self.order] = sorted_values
+        return out
+
+
+def group_by_set(blocks: np.ndarray, indices: np.ndarray) -> SetGroups:
+    """Group accesses stably by set and mark the run heads.
+
+    ``indices`` may be any group id (sets, set pairs, clusters).  The
+    grouping is one ``np.sort`` of the packed key ``id * n + position``,
+    which is unique, sorts by (id, program order) and decodes both the
+    permutation and the sorted ids — several times faster than a stable
+    argsort plus two gathers.  Negative ids or a range too wide to pack
+    fall back to the stable argsort.
+    """
+    blocks = np.asarray(blocks)
+    indices = np.asarray(indices)
+    if blocks.shape != indices.shape:
+        raise ValueError("blocks and indices must have equal shape")
+    n = int(indices.size)
+    indices64 = np.ascontiguousarray(indices, dtype=np.int64)
+    if n and indices64.min() >= 0 and int(indices64.max()) < (1 << 62) // n:
+        # In place where possible: this stage sets the fast paths' peak
+        # memory on long traces.
+        key = indices64 * np.int64(n)
+        key += np.arange(n, dtype=np.int64)
+        key.sort()
+        sorted_idx, order = np.divmod(key, n)
+        del key
+    else:
+        order = np.argsort(indices64, kind="stable")
+        sorted_idx = indices64[order]
+    sorted_blk = blocks[order]
+    head = np.ones(n, dtype=bool)
+    head[1:] = (sorted_idx[1:] != sorted_idx[:-1]) | (sorted_blk[1:] != sorted_blk[:-1])
+    return SetGroups(n, order, sorted_idx, sorted_blk, head)
+
+
+# -- kernels --------------------------------------------------------------------------
+
+
+def direct_mapped_miss_flags(
+    blocks: np.ndarray, indices: np.ndarray, groups: SetGroups | None = None
+) -> np.ndarray:
     """Boolean miss vector for a direct-mapped cache.
 
     Parameters
@@ -52,38 +196,22 @@ def direct_mapped_miss_flags(blocks: np.ndarray, indices: np.ndarray) -> np.ndar
         dtype; identity of the cached data.
     indices:
         Set index of each access under the indexing scheme being evaluated.
+    groups:
+        ``group_by_set(blocks, indices)`` when the caller already holds it.
 
     Returns
     -------
-    A boolean array: ``True`` where the access misses (cold or conflict).
+    A boolean array: ``True`` where the access misses (cold or conflict) —
+    exactly the run heads of the set grouping: the first access to a set,
+    or one whose block differs from the previous access to the same set.
     """
-    blocks = np.asarray(blocks)
-    indices = np.asarray(indices)
-    if blocks.shape != indices.shape:
-        raise ValueError("blocks and indices must have equal shape")
-    n = blocks.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    # Stable sort groups accesses by set while preserving program order
-    # within each set.
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    sorted_blk = blocks[order]
-    miss_sorted = np.empty(n, dtype=bool)
-    miss_sorted[0] = True
-    # A position misses if it starts a new set group (cold miss) or differs
-    # from the block previously resident in the same set (conflict/capacity).
-    new_group = sorted_idx[1:] != sorted_idx[:-1]
-    changed = sorted_blk[1:] != sorted_blk[:-1]
-    miss_sorted[1:] = new_group | changed
-    miss = np.empty(n, dtype=bool)
-    miss[order] = miss_sorted
-    return miss
+    g = group_by_set(blocks, indices) if groups is None else groups
+    return g.unsort(g.head)
 
 
 def direct_mapped_miss_count(blocks: np.ndarray, indices: np.ndarray) -> int:
     """Total miss count; the Patel search's cost function (paper Eq. 6)."""
-    return int(direct_mapped_miss_flags(blocks, indices).sum())
+    return int(np.count_nonzero(group_by_set(blocks, indices).head))
 
 
 # -- k-way LRU via offline stack distances ------------------------------------------
@@ -138,16 +266,21 @@ def _count_before_leq(
     # Base case: all (t, query) pairs sharing one W0-aligned window, counted
     # by direct broadcast comparison — one vector op replaces the bottom
     # log2(W0) levels, where the per-level sort/searchsorted overhead would
-    # dominate the tiny windows.
+    # dominate the tiny windows.  Queries go in blocks so the (queries × W0)
+    # temporaries stay a few MB instead of ~200 bytes per query.
     base = 16
     n_padded = -(-n // base) * base
     padded = np.full(n_padded, np.int64(n + 1))  # sentinel > every threshold
     padded[:n] = shifted
     windows = padded.reshape(-1, base)
-    gathered = windows[query_pos // base]
-    local = (query_pos % base)[:, None]
     offsets = np.arange(base, dtype=np.int64)[None, :]
-    counts += ((gathered <= q_shifted[:, None]) & (offsets < local)).sum(axis=1)
+    block = 1 << 14
+    for lo in range(0, nq, block):
+        q = slice(lo, lo + block)
+        gathered = windows[query_pos[q] // base]
+        local = (query_pos[q] % base)[:, None]
+        below = (gathered <= q_shifted[q, None]) & (offsets < local)
+        counts[q] += below.sum(axis=1)
 
     w = base
     while w < n:
@@ -171,7 +304,9 @@ def _count_before_leq(
     return counts
 
 
-def lru_stack_distances(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def lru_stack_distances(
+    blocks: np.ndarray, indices: np.ndarray, groups: SetGroups | None = None
+) -> np.ndarray:
     """Exact per-access LRU stack distances under an arbitrary set mapping.
 
     Returns an ``int64`` array: ``distance[i]`` is the number of *distinct
@@ -179,29 +314,12 @@ def lru_stack_distances(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
     the same block, or ``-1`` for a cold (first-ever) access.  An access hits
     a ``k``-way LRU set iff ``0 <= distance[i] < k`` — the Mattson inclusion
     property, which yields miss vectors for *every* associativity from one
-    pass.
+    pass.  ``groups`` is ``group_by_set(blocks, indices)`` when the caller
+    already holds it.
     """
-    blocks = np.asarray(blocks)
-    indices = np.asarray(indices)
-    if blocks.shape != indices.shape:
-        raise ValueError("blocks and indices must have equal shape")
-    n = blocks.size
-    if n == 0:
+    g = group_by_set(blocks, indices) if groups is None else groups
+    if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    indices64 = np.ascontiguousarray(indices, dtype=np.int64)
-    max_idx = int(indices64.max())
-    if max_idx < (1 << 62) // max(n, 1):
-        # Stable grouping via one packed-key np.sort: key = set * n + position
-        # is unique, sorts by (set, program order), and decodes both the
-        # permutation and the sorted set indices — several times faster than
-        # a stable argsort plus two gathers.
-        key = np.sort(indices64 * np.int64(n) + np.arange(n, dtype=np.int64))
-        sorted_idx = key // n
-        order = key - sorted_idx * n
-    else:  # pathological index range: fall back to the generic stable sort
-        order = np.argsort(indices64, kind="stable")
-        sorted_idx = indices64[order]
-    sorted_blk = np.ascontiguousarray(blocks[order])
     # Exact stream compression: an access repeating the previous access to
     # its set touches the set's MRU block, so its stack distance is 0 — and
     # removing it changes no other access's distinct-in-window count (the
@@ -209,17 +327,11 @@ def lru_stack_distances(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
     # if the original *were* the window's left boundary p(j), the repeat
     # would be an occurrence of block(j) inside (p(j), j), contradicting
     # p(j)'s definition).  The costly dominance pass then runs only on the
-    # direct-mapped-miss substream, typically a small fraction of the trace.
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (sorted_idx[1:] == sorted_idx[:-1]) & (
-        sorted_blk[1:] == sorted_blk[:-1]
-    )
-    keep = ~repeat
-    kept_idx = np.ascontiguousarray(sorted_idx[keep])
-    kept_blk = np.ascontiguousarray(sorted_blk[keep])
-    prev = _previous_occurrence(kept_idx, kept_blk)
+    # run heads — the direct-mapped-miss substream, typically a small
+    # fraction of the trace.
+    prev = _previous_occurrence(g.kept_idx, g.kept_blk)
     warm = np.flatnonzero(prev >= 0)
-    dist_kept = np.full(kept_idx.size, -1, dtype=np.int64)
+    dist_kept = np.full(prev.size, -1, dtype=np.int64)
     if warm.size:
         p = prev[warm]
         # #{t < j : prev[t] <= p(j)} counts (a) every t <= p(j) — trivially,
@@ -228,14 +340,17 @@ def lru_stack_distances(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
         # set groups are contiguous.  Subtracting the p(j)+1 trivial hits
         # leaves exactly the distinct-others count: the stack distance.
         dist_kept[warm] = _count_before_leq(prev, warm, p) - (p + 1)
-    dist_sorted = np.zeros(n, dtype=np.int64)
-    dist_sorted[keep] = dist_kept
-    distances = np.empty(n, dtype=np.int64)
-    distances[order] = dist_sorted
-    return distances
+    dist_sorted = np.zeros(g.n, dtype=np.int64)
+    dist_sorted[g.kept_pos] = dist_kept
+    return g.unsort(dist_sorted)
 
 
-def lru_miss_flags(blocks: np.ndarray, indices: np.ndarray, ways: int) -> np.ndarray:
+def lru_miss_flags(
+    blocks: np.ndarray,
+    indices: np.ndarray,
+    ways: int,
+    groups: SetGroups | None = None,
+) -> np.ndarray:
     """Boolean miss vector for a ``ways``-way LRU cache under any set mapping.
 
     Exact and bit-identical to driving
@@ -243,12 +358,14 @@ def lru_miss_flags(blocks: np.ndarray, indices: np.ndarray, ways: int) -> np.nda
     policy) one access at a time, for any associativity and any
     (not necessarily power-of-two) set-index range; ``ways=1`` degenerates to
     :func:`direct_mapped_miss_flags` and is routed there directly.
+    ``groups`` is ``group_by_set(blocks, indices)`` when the caller already
+    holds it.
     """
     if ways < 1:
         raise ValueError("ways must be a positive integer")
     if ways == 1:
-        return direct_mapped_miss_flags(blocks, indices)
-    distances = lru_stack_distances(blocks, indices)
+        return direct_mapped_miss_flags(blocks, indices, groups)
+    distances = lru_stack_distances(blocks, indices, groups)
     return (distances < 0) | (distances >= ways)
 
 

@@ -8,19 +8,25 @@ Two engines, equivalence-tested against each other:
   programmable-associativity models (column-associative, adaptive, B-cache,
   victim, partner) can use.
 * :func:`simulate_set_associative` — the vectorised fast path for any
-  *stateless-lookup* configuration: a scheme × geometry × ways grid point
-  with LRU replacement.  Direct-mapped runs (paper Figures 4, 9, 10, 13)
-  use the sort-based adjacent-compare primitive; k-way LRU runs (the
-  set-associative baselines behind Figures 6/7/8/11/12/14 and the bounds
-  tables) use the offline stack-distance kernel in
-  :mod:`repro.core.fastsim` — one to two orders of magnitude faster than
-  the sequential engine, which matters when the Givargis/Patel trainers and
-  the figure sweeps run hundreds of whole-trace simulations.
-  :func:`simulate_indexing` is the historical direct-mapped entry point,
-  kept as the ``ways=1`` specialisation.
+  *stateless-lookup* configuration: a scheme × geometry × ways grid point.
+  It runs the shared stages of :mod:`repro.core.fastsim` — one
+  :func:`~repro.core.fastsim.decode`, one
+  :func:`~repro.core.fastsim.group_by_set` — then a kernel: run heads for
+  direct-mapped runs (paper Figures 4, 9, 10, 13), the stack-distance LRU
+  kernel for k-way runs (the set-associative baselines behind Figures
+  6/7/8/11/12/14 and the bounds tables), the replay kernels of
+  :mod:`repro.core.fastpolicy` for other policies.  It is one to two
+  orders of magnitude faster than the sequential engine, which matters
+  when the Givargis/Patel trainers and the figure sweeps run hundreds of
+  whole-trace simulations.  :func:`simulate_indexing` is the historical
+  direct-mapped entry point, kept as the ``ways=1`` specialisation, and
+  :func:`simulate_lru_sweep` answers a whole associativity sweep from one
+  distance pass.
 
 Both return a :class:`SimulationResult` carrying global counters, per-slot
-arrays and enough timing classes to evaluate the paper's AMAT formulas.
+arrays and enough timing classes to evaluate the paper's AMAT formulas;
+every vectorised entry point packages its miss vector through the one
+:func:`_vectorised_result` step.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .address import CacheGeometry
 from .amat import TimingModel, amat_from_cycles
 from .caches.base import CacheModel, CacheStats
 from .fastsim import (
+    decode,
     direct_mapped_miss_flags,
     lru_miss_flags,
     lru_sweep_miss_flags,
@@ -158,24 +165,38 @@ def _vectorised_result(
     indices: np.ndarray,
     miss: np.ndarray,
     num_sets: int,
-    extra: dict[str, int],
+    warmup: int = 0,
+    always_direct_hits: bool = False,
 ) -> SimulationResult:
-    """Package a miss vector into a :class:`SimulationResult` (1 cycle/access)."""
+    """Package a miss vector into a :class:`SimulationResult` (1 cycle/access).
+
+    The first ``warmup`` accesses are dropped: the kernels compute flags
+    over the whole trace, and their state is continuous, so the suffix is
+    exactly a warmed-up run.  Every hit is a "direct" hit; the key is kept
+    at zero only for ``always_direct_hits`` (the direct-mapped entry
+    points), and otherwise — as in ``SetAssociativeCache`` — only present
+    when nonzero.
+    """
+    if warmup:
+        if warmup >= indices.size:
+            raise ValueError("warmup consumes the entire trace")
+        indices = indices[warmup:]
+        miss = miss[warmup:]
     accesses, misses = per_set_counts(indices, miss, num_sets)
-    hits = accesses - misses
     total = int(indices.size)
     total_misses = int(miss.sum())
+    hits = total - total_misses
     return SimulationResult(
         model=model,
         trace_name=trace_name,
         accesses=total,
-        hits=total - total_misses,
+        hits=hits,
         misses=total_misses,
         lookup_cycles=total,  # one cycle per access
         slot_accesses=accesses,
-        slot_hits=hits,
+        slot_hits=accesses - misses,
         slot_misses=misses,
-        extra=extra,
+        extra={"direct_hits": hits} if hits or always_direct_hits else {},
     )
 
 
@@ -195,7 +216,7 @@ def simulate_set_associative(
     and lookup cycles, asserted by the differential test-suite — but
     computed offline with the stack-distance kernel instead of a per-access
     Python loop.  ``ways`` defaults to the geometry's associativity;
-    ``ways=1`` uses the cheaper direct-mapped adjacent-compare path.
+    ``ways=1`` uses the cheaper direct-mapped run-head path.
 
     Only LRU admits the re-thresholdable stack-distance solution (the
     Mattson inclusion property); any other registered ``policy`` routes to
@@ -222,32 +243,14 @@ def simulate_set_associative(
     ways = geometry.ways if ways is None else int(ways)
     if ways < 1:
         raise ValueError("ways must be a positive integer")
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
-    # Seed warmup state by computing miss flags over the full trace and
-    # dropping the prefix: LRU outcomes depend only on the access history,
-    # so the suffix flags are exactly those of a warmed-up cache.
-    if warmup:
-        if warmup >= blocks.size:
-            raise ValueError("warmup consumes the entire trace")
-        miss = lru_miss_flags(blocks, indices, ways)[warmup:]
-        indices = indices[warmup:]
-    else:
-        miss = lru_miss_flags(blocks, indices, ways)
-    total = int(indices.size)
-    total_misses = int(miss.sum())
-    hits = total - total_misses
+    blocks, indices = decode(scheme, trace, geometry)
     return _vectorised_result(
         model=f"set_associative[{scheme.name},{ways}way]",
         trace_name=trace.name,
         indices=indices,
-        miss=miss,
+        miss=lru_miss_flags(blocks, indices, ways),
         num_sets=geometry.num_sets,
-        # SetAssociativeCache classes every hit as "direct"; mirror that so
-        # the result dicts compare equal (the key is absent when hits == 0).
-        extra={"direct_hits": hits} if hits else {},
+        warmup=warmup,
     )
 
 
@@ -286,33 +289,23 @@ def simulate_lru_sweep(
             raise ValueError("style 'direct' models a direct-mapped cache (ways=1)")
         if ways < 1:
             raise ValueError("ways must be a positive integer")
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
+    blocks, indices = decode(scheme, trace, geometry)
     flags = lru_sweep_miss_flags(blocks, indices, [ways for ways, _ in specs])
-    total = int(indices.size)
-    results = []
-    for ways, style in specs:
-        miss = flags[ways]
-        hits = total - int(miss.sum())
-        if style == "direct":
-            model = f"direct_mapped[{scheme.name}]"
-            extra = {"direct_hits": hits}
-        else:
-            model = f"set_associative[{scheme.name},{ways}way]"
-            extra = {"direct_hits": hits} if hits else {}
-        results.append(
-            _vectorised_result(
-                model=model,
-                trace_name=trace.name,
-                indices=indices,
-                miss=miss,
-                num_sets=geometry.num_sets,
-                extra=extra,
-            )
+    return [
+        _vectorised_result(
+            model=(
+                f"direct_mapped[{scheme.name}]"
+                if style == "direct"
+                else f"set_associative[{scheme.name},{ways}way]"
+            ),
+            trace_name=trace.name,
+            indices=indices,
+            miss=flags[ways],
+            num_sets=geometry.num_sets,
+            always_direct_hits=style == "direct",
         )
-    return results
+        for ways, style in specs
+    ]
 
 
 def simulate_fully_associative(
@@ -331,15 +324,12 @@ def simulate_fully_associative(
     offset_bits = geometry.offset_bits if geometry is not None else 0
     blocks = trace.blocks(offset_bits).astype(np.int64)
     indices = np.zeros(blocks.size, dtype=np.int64)
-    miss = lru_miss_flags(blocks, indices, capacity)
-    hits = int(blocks.size) - int(miss.sum())
     return _vectorised_result(
         model="fully_associative",
         trace_name=trace.name,
         indices=indices,
-        miss=miss,
+        miss=lru_miss_flags(blocks, indices, capacity),
         num_sets=1,
-        extra={"direct_hits": hits} if hits else {},
     )
 
 
@@ -356,33 +346,21 @@ def simulate_indexing(
     costs 1 lookup cycle, as in the paper's baseline.  This is the ``ways=1``
     specialisation of :func:`simulate_set_associative`, kept as its own
     entry point because the direct-mapped figures label results differently.
+    Direct-mapped state is fully determined by the last access per set, so
+    ``warmup`` simply drops the prefix of the whole-trace flags.
     """
     geometry = geometry or scheme.geometry
     if geometry.ways != 1:
         raise ValueError("the vectorised path models a direct-mapped cache")
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
-    if warmup:
-        if warmup >= blocks.size:
-            raise ValueError("warmup consumes the entire trace")
-        # Seed the "previous block per set" state by simply dropping the
-        # warmup prefix after computing miss flags over the full trace:
-        # direct-mapped state is fully determined by the last access per set.
-        miss = direct_mapped_miss_flags(blocks, indices)[warmup:]
-        indices = indices[warmup:]
-    else:
-        miss = direct_mapped_miss_flags(blocks, indices)
-    total = int(indices.size)
-    total_misses = int(miss.sum())
+    blocks, indices = decode(scheme, trace, geometry)
     return _vectorised_result(
         model=f"direct_mapped[{scheme.name}]",
         trace_name=trace.name,
         indices=indices,
-        miss=miss,
+        miss=direct_mapped_miss_flags(blocks, indices),
         num_sets=geometry.num_sets,
-        extra={"direct_hits": total - total_misses},
+        warmup=warmup,
+        always_direct_hits=True,
     )
 
 

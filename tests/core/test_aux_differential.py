@@ -121,6 +121,12 @@ def scheme_lineup(geometry: CacheGeometry, fit_trace: Trace) -> list:
         lambda: GivargisIndexing(geometry).fit(fit_addrs),
         lambda: GivargisXorIndexing(geometry).fit(fit_addrs),
         lambda: PatelIndexing(geometry, max_swap_moves=4).fit(fit_addrs),
+        # Offset-bit variants: the fast paths must index block-aligned
+        # addresses exactly as the cache models do.
+        lambda: GivargisIndexing(geometry, include_offset_bits=True).fit(fit_addrs),
+        lambda: PatelIndexing(
+            geometry, max_swap_moves=4, include_offset_bits=True
+        ).fit(fit_addrs),
     ]
     schemes = []
     for make in factories:

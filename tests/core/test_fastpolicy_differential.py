@@ -5,19 +5,17 @@ the set-decomposed replay kernels in :mod:`repro.core.fastpolicy` must be
 *bit-identical* to driving :class:`~repro.core.caches.SetAssociativeCache`
 one access at a time through :func:`~repro.core.simulator.simulate` —
 equal :class:`~repro.core.simulator.SimulationResult` (totals, lookup
-cycles, per-set histograms, ``extra`` hit classes) **and** equal post-run
-cache-object state (contents, policy stamps/counts/bits, the Random
-policy's exact generator position), across:
+cycles, per-set histograms, ``extra`` hit classes) across:
 
 * every registered replacement policy (LRU, FIFO, PLRU, MRU, LFU,
-  seeded Random) × every registered indexing scheme × the adversarial
-  trace zoo (random, hot-reuse, ping-pong, repeat-heavy, empty, single);
+  seeded Random) × every registered indexing scheme (plus the offset-bit
+  Givargis/Patel variants) × the adversarial trace zoo (random,
+  hot-reuse, ping-pong, repeat-heavy, empty, single);
 * associativities 1 / 2 / 8 (PLRU power-of-two constraint respected);
 * the :func:`~repro.core.fastpolicy.simulate_policy_sweep` sweep path —
-  shared set decomposition ≡ the per-cell path ≡ sequential, per-set
-  counts included;
-* warmup splits, pristine-gate fallbacks (dirty caches take the
-  sequential engine but still agree), and engine/config rejection.
+  shared set grouping ≡ the per-cell path ≡ sequential, per-set counts
+  included;
+* warmup splits, Random seeds, and engine/config rejection.
 """
 
 from __future__ import annotations
@@ -26,12 +24,9 @@ import numpy as np
 import pytest
 
 from repro.core.address import CacheGeometry
-from repro.core.caches.set_associative import SetAssociativeCache
 from repro.core.fastpolicy import (
     FAST_POLICIES,
-    has_policy_fast_path,
     policy_miss_flags,
-    simulate_policy,
     simulate_policy_set_associative,
     simulate_policy_sweep,
 )
@@ -45,8 +40,7 @@ from repro.core.indexing import (
     PrimeModuloIndexing,
     XorIndexing,
 )
-from repro.core.replacement import POLICIES, RandomPolicy
-from repro.core.simulator import simulate
+from repro.core.replacement import POLICIES
 from repro.trace import Trace
 
 TINY4 = CacheGeometry(capacity_bytes=512, line_bytes=16, ways=4, address_bits=16)
@@ -130,6 +124,12 @@ def scheme_lineup(geometry: CacheGeometry, fit_trace: Trace) -> list:
         lambda: GivargisIndexing(geometry).fit(fit_addrs),
         lambda: GivargisXorIndexing(geometry).fit(fit_addrs),
         lambda: PatelIndexing(geometry, max_swap_moves=4).fit(fit_addrs),
+        # Offset-bit variants: the fast paths must index block-aligned
+        # addresses exactly as the cache models do.
+        lambda: GivargisIndexing(geometry, include_offset_bits=True).fit(fit_addrs),
+        lambda: PatelIndexing(
+            geometry, max_swap_moves=4, include_offset_bits=True
+        ).fit(fit_addrs),
     ]
     schemes = []
     for make in factories:
@@ -154,21 +154,6 @@ def assert_results_identical(fast, slow, ctx: str) -> None:
     np.testing.assert_array_equal(fast.slot_accesses, slow.slot_accesses, err_msg=ctx)
     np.testing.assert_array_equal(fast.slot_hits, slow.slot_hits, err_msg=ctx)
     np.testing.assert_array_equal(fast.slot_misses, slow.slot_misses, err_msg=ctx)
-
-
-def assert_cache_state_identical(fast_cache, slow_cache, ctx: str) -> None:
-    np.testing.assert_array_equal(fast_cache._blocks, slow_cache._blocks, err_msg=ctx)
-    fp, sp = fast_cache.policy, slow_cache.policy
-    assert type(fp) is type(sp), ctx
-    if hasattr(sp, "_stamp"):
-        np.testing.assert_array_equal(fp._stamp, sp._stamp, err_msg=ctx)
-        assert fp._clock == sp._clock, ctx
-    if hasattr(sp, "_count"):
-        np.testing.assert_array_equal(fp._count, sp._count, err_msg=ctx)
-    if hasattr(sp, "_bits"):
-        np.testing.assert_array_equal(fp._bits, sp._bits, err_msg=ctx)
-    if isinstance(sp, RandomPolicy):
-        assert fp._rng.bit_generator.state == sp._rng.bit_generator.state, ctx
 
 
 # -- the stats-level engine -------------------------------------------------------
@@ -313,77 +298,3 @@ class TestPolicySweep:
         assert [r.model for r in results] == [
             f"set_associative[{scheme.name},4way,{p}]" for p in policies
         ]
-
-
-# -- the cache-object dispatcher --------------------------------------------------
-
-
-class TestSimulatePolicy:
-    @pytest.mark.parametrize("policy", FAST_POLICIES)
-    def test_auto_equals_sequential_with_state(self, policy):
-        geometry = TINY4
-        for trace in trace_zoo(geometry):
-            ctx = f"{policy}/{trace.name}"
-            fast_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
-            slow_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
-            assert has_policy_fast_path(fast_cache), ctx
-            fast = simulate_policy(fast_cache, trace)
-            slow = simulate(slow_cache, trace)
-            assert_results_identical(fast, slow, ctx)
-            assert_cache_state_identical(fast_cache, slow_cache, ctx)
-            fast_cache.stats.check_invariants()
-
-    @pytest.mark.parametrize("policy", FAST_POLICIES)
-    def test_dirty_cache_falls_back_but_agrees(self, policy):
-        """A second run over the same object is not pristine: the dispatcher
-        must take the sequential engine and still match it exactly."""
-        geometry = TINY4
-        t1 = hot_trace(geometry, n=800, seed=3)
-        t2 = random_trace(geometry, n=800, seed=4)
-        fast_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
-        slow_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
-        simulate_policy(fast_cache, t1)
-        simulate(slow_cache, t1)
-        assert not has_policy_fast_path(fast_cache)
-        fast = simulate_policy(fast_cache, t2)
-        slow = simulate(slow_cache, t2)
-        assert_results_identical(fast, slow, f"{policy}/dirty")
-        assert_cache_state_identical(fast_cache, slow_cache, f"{policy}/dirty")
-
-    def test_warmup_agrees(self):
-        geometry = TINY4
-        trace = random_trace(geometry, n=2000, seed=19)
-        fast_cache = SetAssociativeCache(geometry, policy="fifo")
-        slow_cache = SetAssociativeCache(geometry, policy="fifo")
-        fast = simulate_policy(fast_cache, trace, warmup=300)
-        slow = simulate(slow_cache, trace, warmup=300)
-        assert_results_identical(fast, slow, "warmup")
-        assert_cache_state_identical(fast_cache, slow_cache, "warmup")
-
-    def test_invariant_checking_falls_back(self):
-        geometry = TINY4
-        trace = random_trace(geometry, n=500, seed=23)
-        res = simulate_policy(
-            SetAssociativeCache(geometry, policy="lfu"),
-            trace,
-            check_invariants_every=100,
-        )
-        seq = simulate(SetAssociativeCache(geometry, policy="lfu"), trace)
-        assert res.misses == seq.misses
-
-    def test_subclass_falls_back(self):
-        class Sub(SetAssociativeCache):
-            pass
-
-        geometry = TINY4
-        assert not has_policy_fast_path(Sub(geometry, policy="fifo"))
-        trace = hot_trace(geometry, n=400)
-        res = simulate_policy(Sub(geometry, policy="fifo"), trace)
-        seq = simulate(SetAssociativeCache(geometry, policy="fifo"), trace)
-        assert res.misses == seq.misses
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            simulate_policy(
-                SetAssociativeCache(TINY4), single_access_trace(TINY4), engine="turbo"
-            )

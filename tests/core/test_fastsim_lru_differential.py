@@ -168,6 +168,12 @@ def scheme_lineup(geometry: CacheGeometry, fit_trace: Trace) -> list:
         lambda: GivargisIndexing(geometry).fit(fit_addrs),
         lambda: GivargisXorIndexing(geometry).fit(fit_addrs),
         lambda: PatelIndexing(geometry, max_swap_moves=4).fit(fit_addrs),
+        # Offset-bit variants: the fast paths must index block-aligned
+        # addresses exactly as the cache models do.
+        lambda: GivargisIndexing(geometry, include_offset_bits=True).fit(fit_addrs),
+        lambda: PatelIndexing(
+            geometry, max_swap_moves=4, include_offset_bits=True
+        ).fit(fit_addrs),
     ]
     schemes = []
     for make in factories:
@@ -349,9 +355,17 @@ class TestFullyAssociativeVsSequentialEngine:
 class TestClassifierEngines:
     def test_direct_mapped_auto_equals_sequential(self):
         trace = random_trace(SMALL, n=3000, seed=51)
-        for scheme in (ModuloIndexing(SMALL), XorIndexing(SMALL)):
-            auto = classify(DirectMappedCache(SMALL, scheme), trace)
-            seq = classify(DirectMappedCache(SMALL, scheme), trace, engine="sequential")
+        # A fresh random trace misses on every access whatever the index
+        # function, so the offset-bit scheme runs on a reuse-heavy loop.
+        loop = Trace(np.tile(trace.addresses[:300], 10), name="loop")
+        offset_bits = GivargisIndexing(SMALL, include_offset_bits=True)
+        for scheme, t in (
+            (ModuloIndexing(SMALL), trace),
+            (XorIndexing(SMALL), trace),
+            (offset_bits.fit(loop.addresses), loop),
+        ):
+            auto = classify(DirectMappedCache(SMALL, scheme), t)
+            seq = classify(DirectMappedCache(SMALL, scheme), t, engine="sequential")
             assert auto.as_dict() == seq.as_dict(), scheme.name
 
     @pytest.mark.parametrize("ways", [2, 4])

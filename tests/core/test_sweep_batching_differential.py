@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.address import CacheGeometry
+from repro.core.caches.direct_mapped import DirectMappedCache
 from repro.core.fastsim import lru_miss_flags, lru_sweep_miss_flags
 from repro.core.indexing import (
     BitSelectIndexing,
@@ -44,6 +45,7 @@ from repro.core.indexing import (
     XorIndexing,
 )
 from repro.core.simulator import (
+    simulate,
     simulate_indexing,
     simulate_lru_sweep,
     simulate_set_associative,
@@ -109,6 +111,12 @@ def scheme_lineup(geometry: CacheGeometry, fit_trace: Trace) -> list:
         lambda: GivargisIndexing(geometry).fit(fit_addrs),
         lambda: GivargisXorIndexing(geometry).fit(fit_addrs),
         lambda: PatelIndexing(geometry, max_swap_moves=4).fit(fit_addrs),
+        # Offset-bit variants: the fast paths must index block-aligned
+        # addresses exactly as the cache models do.
+        lambda: GivargisIndexing(geometry, include_offset_bits=True).fit(fit_addrs),
+        lambda: PatelIndexing(
+            geometry, max_swap_moves=4, include_offset_bits=True
+        ).fit(fit_addrs),
     ]
     schemes = []
     for make in factories:
@@ -202,13 +210,20 @@ class TestSweepVsPerCellSimulators:
     @pytest.mark.parametrize("base", [TINY, SMALL], ids=["tiny", "small"])
     def test_direct_members_all_schemes(self, base):
         """style="direct" reproduces simulate_indexing's packaging exactly —
-        including the always-present direct_hits key."""
+        including the always-present direct_hits key — and the counts of
+        the sequential direct-mapped model."""
         fit = random_trace(base, n=2000, seed=99)
         for scheme in scheme_lineup(base, fit):
             for trace in trace_zoo(base):
+                ctx = f"{scheme.name}/{trace.name}"
                 (got,) = simulate_lru_sweep(scheme, trace, base, [(1, "direct")])
                 want = simulate_indexing(scheme, trace, base)
-                assert_results_identical(got, want, f"{scheme.name}/{trace.name}")
+                assert_results_identical(got, want, ctx)
+                slow = simulate(DirectMappedCache(base, scheme), trace)
+                assert (got.hits, got.misses) == (slow.hits, slow.misses), ctx
+                np.testing.assert_array_equal(
+                    got.slot_misses, slow.slot_misses, err_msg=ctx
+                )
 
     def test_mixed_direct_and_setassoc_sweep(self):
         """The ext-assoc shape: one direct baseline + a k-way ladder."""
