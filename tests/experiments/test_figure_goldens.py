@@ -2,7 +2,8 @@
 
 ``tests/experiments/goldens/*.json`` freezes the small-trace
 (``ref_limit=15000``, seed 2011) miss-rate / uniformity outputs of fig1,
-fig4, fig6, fig8, fig13, ext-assoc, ext-policy, ext-aux and ext-bounds.  Each golden file is tolerance-tagged (``rtol``/``atol``
+fig4, fig6, fig8, fig13, ext-assoc, ext-policy, ext-aux, ext-bounds,
+ext-hybrid, ext-hpc and ext-patel.  Each golden file is tolerance-tagged (``rtol``/``atol``
 inside the file) so refactors of the execution layer — the parallel engine,
 the result cache, future sharding — cannot silently shift reproduced
 numbers.  If a change *intentionally* alters the numbers, regenerate the
@@ -35,6 +36,9 @@ GOLDEN_IDS = [
     "ext-policy",
     "ext-aux",
     "ext-bounds",
+    "ext-hybrid",
+    "ext-hpc",
+    "ext-patel",
 ]
 GOLDEN_REFS = 15_000
 
