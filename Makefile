@@ -47,20 +47,12 @@ bench-check:
 serve-smoke:
 	PYTHONPATH=src $(PY) scripts/serve_smoke.py
 
-# Run ext-policy, ext-aux and fig8 once per engine, uncached, and require
-# byte-identical markdown: every vectorised fast path must reproduce the
+# Run ext-policy, ext-aux, fig8, ext-hybrid, ext-hpc and ext-patel once per
+# engine, uncached, and require equal rows at full precision and
+# bit-identical arrays: every vectorised fast path must reproduce the
 # sequential cache models exactly.
 engine-smoke:
-	@set -e; out=$$(mktemp -d); \
-	for id in ext-policy ext-aux fig8; do \
-	  for engine in sequential auto; do \
-	    PYTHONPATH=src $(PY) -m repro.cli run $$id --refs 4000 --jobs 1 \
-	      --no-result-cache --engine $$engine --out $$out/$$id-$$engine.md >/dev/null; \
-	  done; \
-	  cmp $$out/$$id-sequential.md $$out/$$id-auto.md; \
-	  echo "engine-smoke: $$id sequential == auto"; \
-	done; \
-	rm -rf $$out
+	PYTHONPATH=src $(PY) scripts/engine_smoke.py
 
 # Prefetch every trace the experiment suite needs, in parallel, before a
 # replay — turns the cold-start cost into one concurrent generation pass.

@@ -58,7 +58,14 @@ def exhaustive_best_positions(
 
 @register_scheme
 class PatelIndexing(TrainableIndexingScheme):
-    """Budgeted conflict-cost-minimising bit selection."""
+    """Budgeted conflict-cost-minimising bit selection.
+
+    The search runs in block-address coordinates (its cost is the
+    direct-mapped miss count over block addresses), so it never selects a
+    line-offset bit: ``include_offset_bits=True`` admits offset positions
+    to the candidate pool, but ``fit`` drops them, and the fitted
+    ``positions`` are the same with and without the option.
+    """
 
     name = "patel"
 
@@ -74,7 +81,6 @@ class PatelIndexing(TrainableIndexingScheme):
         self.positions: tuple[int, ...] = ()
         self.cost_: int | None = None
         self._candidates = candidate_bit_positions(geometry, include_offset_bits)
-        self._shift = 0 if include_offset_bits else geometry.offset_bits
 
     # -- training ----------------------------------------------------------------
 

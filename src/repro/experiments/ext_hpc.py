@@ -10,77 +10,60 @@ triad misses on *every* access under modulo at our alignment; transpose's
 column writes thrash).
 
 Columns match Figure 4's line-up plus the three programmable-associativity
-caches, all as % miss reduction vs conventional direct-mapped.
+caches, all as % miss reduction vs conventional direct-mapped.  Each entry
+is one engine cell: Figure 4's ``indexing`` cells (Givargis fitted on the
+profiling run) and Figure 6's ``progassoc`` cells.
 """
 
 from __future__ import annotations
 
-from ..core.caches import (
-    AdaptiveGroupAssociativeCache,
-    BalancedCache,
-    ColumnAssociativeCache,
-)
-from ..core.simulator import simulate
 from ..core.uniformity import percent_reduction
 from ..workloads.hpc import HPC_ORDER
 from .config import PaperConfig
+from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
-from .runner import baseline_result, indexing_lineup, profile_trace, register_experiment, workload_trace
-from ..core.simulator import simulate_indexing
+from .runner import register_experiment
 
 __all__ = ["run_ext_hpc"]
+
+#: Column → the ``(kind, label)`` of the cell that simulates it.
+EXT_HPC_CELLS: dict[str, tuple[str, str]] = {
+    "XOR": ("indexing", "XOR"),
+    "Odd_Multiplier": ("indexing", "Odd_Multiplier"),
+    "Prime_Modulo": ("indexing", "Prime_Modulo"),
+    "Givargis": ("indexing", "Givargis"),
+    "Adaptive": ("progassoc", "Adaptive_Cache"),
+    "B_Cache": ("progassoc", "B_Cache"),
+    "ColAssoc": ("progassoc", "Column_associative"),
+}
 
 
 @register_experiment("ext-hpc")
 def run_ext_hpc(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
-    columns = [
-        "XOR",
-        "Odd_Multiplier",
-        "Prime_Modulo",
-        "Givargis",
-        "Adaptive",
-        "B_Cache",
-        "ColAssoc",
-    ]
     result = ExperimentResult(
         experiment_id="ext-hpc",
         title="% miss reduction vs DM on HPC kernels (the paper's announced next suite)",
-        columns=columns,
+        columns=list(EXT_HPC_CELLS),
     )
+    cells = []
     for bench in HPC_ORDER:
-        trace = workload_trace(bench, config)
-        base = baseline_result(trace, config)
-        schemes = indexing_lineup(g, trace, config, train_trace=profile_trace(bench, config))
-        row = {}
-        for label in ("XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis"):
-            sim = simulate_indexing(schemes[label], trace, g)
-            row[label] = percent_reduction(sim.misses, base.misses)
-        row["Adaptive"] = percent_reduction(
-            simulate(
-                AdaptiveGroupAssociativeCache(
-                    g, sht_fraction=config.sht_fraction, out_fraction=config.out_fraction
-                ),
-                trace,
-            ).misses,
-            base.misses,
+        cells.append(make_cell("baseline", bench, "baseline", config))
+        cells.extend(
+            make_cell(kind, bench, label, config)
+            for kind, label in EXT_HPC_CELLS.values()
         )
-        row["B_Cache"] = percent_reduction(
-            simulate(
-                BalancedCache(
-                    g, mapping_factor=config.bcache_mapping_factor, bas=config.bcache_bas
-                ),
-                trace,
-            ).misses,
-            base.misses,
-        )
-        row["ColAssoc"] = percent_reduction(
-            simulate(ColumnAssociativeCache(g), trace).misses, base.misses
-        )
+    sims, stats = ExperimentEngine(config).run(cells)
+    for bench in HPC_ORDER:
+        base = sims[(bench, "baseline")]
+        row = {
+            column: percent_reduction(sims[(bench, label)].misses, base.misses)
+            for column, (_kind, label) in EXT_HPC_CELLS.items()
+        }
         result.add_row(bench, row)
     result.add_average_row()
     result.note("stream/transpose/jacobi: the power-of-2 pathologies hashing fixes")
     result.note("histogram/spmv: random scatter — placement-insensitive controls")
+    result.engine_stats = stats.as_dict()
     return result
 
 

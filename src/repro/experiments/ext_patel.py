@@ -5,9 +5,14 @@ The paper describes Patel et al.'s optimal reconfigurable indexing
 intractability of the computations".  Our bounded search (greedy forward
 selection + budgeted local search over the exact conflict-cost objective,
 see :mod:`repro.core.indexing.patel`) makes a scaled-down evaluation
-possible: this experiment compares Patel-selected indexes against the
-conventional, XOR and Givargis indexes on a reduced geometry where the
-search is cheap, plus the paper geometry with a small budget.
+possible: this experiment compares Patel-selected indexes against the XOR
+and Givargis indexes at the config geometry, with a small local-search
+budget (:data:`~repro.experiments.engine.cells.PATEL_SWAP_MOVES`).
+
+Each entry is one engine ``indexing`` cell: ``Patel_train`` is fitted on
+the evaluation trace itself (the upper bound the original authors target),
+``Patel_transfer`` on the profiling input (deployment reality), as
+Givargis is.
 
 Shape expectation: Patel ≥ Givargis ≥/≈ conventional on the training input
 (it directly minimises the evaluated objective), with the usual
@@ -16,54 +21,45 @@ profile-transfer caveats on a different input.
 
 from __future__ import annotations
 
-from ..core.indexing import GivargisIndexing, ModuloIndexing, PatelIndexing, XorIndexing
-from ..core.simulator import simulate_indexing
 from ..core.uniformity import percent_reduction
 from .config import PaperConfig
+from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
-from .runner import profile_trace, register_experiment, workload_trace
+from .runner import register_experiment
 
 __all__ = ["run_ext_patel"]
 
 #: A subset of benchmarks keeps the search affordable.
 PATEL_BENCHES = ["fft", "crc", "patricia", "dijkstra"]
 
+PATEL_COLUMNS = ["XOR", "Givargis", "Patel_train", "Patel_transfer"]
+
 
 @register_experiment("ext-patel")
 def run_ext_patel(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
     result = ExperimentResult(
         experiment_id="ext-patel",
         title="% miss reduction vs conventional: Patel bounded search",
-        columns=["XOR", "Givargis", "Patel_train", "Patel_transfer"],
+        columns=PATEL_COLUMNS,
     )
+    cells = []
     for bench in PATEL_BENCHES:
-        trace = workload_trace(bench, config)
-        train = profile_trace(bench, config)
-        base = simulate_indexing(ModuloIndexing(g), trace, g)
-        row = {}
-        row["XOR"] = percent_reduction(
-            simulate_indexing(XorIndexing(g), trace, g).misses, base.misses
+        cells.append(make_cell("baseline", bench, "baseline", config))
+        cells.extend(
+            make_cell("indexing", bench, label, config) for label in PATEL_COLUMNS
         )
-        row["Givargis"] = percent_reduction(
-            simulate_indexing(GivargisIndexing(g).fit(train.addresses), trace, g).misses,
-            base.misses,
-        )
-        # Patel fitted on the evaluation trace itself (the upper bound the
-        # original authors target)...
-        patel_self = PatelIndexing(g, max_swap_moves=16).fit(trace.addresses)
-        row["Patel_train"] = percent_reduction(
-            simulate_indexing(patel_self, trace, g).misses, base.misses
-        )
-        # ...and fitted on the profiling input (deployment reality).
-        patel_xfer = PatelIndexing(g, max_swap_moves=16).fit(train.addresses)
-        row["Patel_transfer"] = percent_reduction(
-            simulate_indexing(patel_xfer, trace, g).misses, base.misses
-        )
+    sims, stats = ExperimentEngine(config).run(cells)
+    for bench in PATEL_BENCHES:
+        base = sims[(bench, "baseline")]
+        row = {
+            label: percent_reduction(sims[(bench, label)].misses, base.misses)
+            for label in PATEL_COLUMNS
+        }
         result.add_row(bench, row)
     result.add_average_row()
     result.note("Patel_train minimises the exact objective it is scored on")
     result.note("the paper skipped Patel as intractable; this is the bounded variant")
+    result.engine_stats = stats.as_dict()
     return result
 
 

@@ -2,9 +2,7 @@
 
 Each figure module registers a runner ``(PaperConfig) -> ExperimentResult``
 under its id ("fig1" ... "fig14").  This module adds the pieces they share:
-cached workload traces, fitted trainable schemes, the standard scheme and
-cache-model line-ups, and the sequential-simulation helper with the
-geometry's paper defaults.
+cached workload and profiling traces and the Figure-6 cache-model line-up.
 """
 
 from __future__ import annotations
@@ -13,23 +11,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from ..core.address import CacheGeometry
 from ..core.caches import (
     AdaptiveGroupAssociativeCache,
     BalancedCache,
     ColumnAssociativeCache,
-    DirectMappedCache,
 )
-from ..core.indexing import (
-    GivargisIndexing,
-    GivargisXorIndexing,
-    IndexingScheme,
-    ModuloIndexing,
-    OddMultiplierIndexing,
-    PrimeModuloIndexing,
-    XorIndexing,
-)
-from ..core.simulator import SimulationResult, simulate, simulate_indexing
 from ..trace.event import Trace
 from ..trace.io import TraceCache
 from ..workloads import get_workload
@@ -44,9 +30,7 @@ __all__ = [
     "workload_trace",
     "workload_trace_path",
     "profile_trace_path",
-    "indexing_lineup",
     "progassoc_lineup",
-    "baseline_result",
 ]
 
 EXPERIMENT_REGISTRY: dict[str, Callable[[PaperConfig], ExperimentResult]] = {}
@@ -159,24 +143,6 @@ def profile_trace_path(name: str, config: PaperConfig) -> Path:
     return workload_trace_path(name, config, seed=config.seed + config.profile_seed_offset)
 
 
-def indexing_lineup(
-    geometry: CacheGeometry, trace: Trace, config: PaperConfig, train_trace: Trace | None = None
-) -> dict[str, IndexingScheme]:
-    """The paper's Figure-4 scheme line-up.
-
-    Trainable schemes are fitted on ``train_trace`` (the profiling run) when
-    given, else on the evaluation trace itself.
-    """
-    fit_addrs = (train_trace if train_trace is not None else trace).addresses
-    return {
-        "XOR": XorIndexing(geometry),
-        "Odd_Multiplier": OddMultiplierIndexing(geometry, config.odd_multiplier),
-        "Prime_Modulo": PrimeModuloIndexing(geometry),
-        "Givargis": GivargisIndexing(geometry).fit(fit_addrs),
-        "Givargis_Xor": GivargisXorIndexing(geometry).fit(fit_addrs),
-    }
-
-
 def progassoc_lineup(config: PaperConfig) -> dict[str, Callable[[], object]]:
     """Factories for the paper's Figure-6 cache line-up (fresh per trace)."""
     g = config.geometry
@@ -191,13 +157,3 @@ def progassoc_lineup(config: PaperConfig) -> dict[str, Callable[[], object]]:
             g, protect_conventional=config.protect_conventional
         ),
     }
-
-
-def baseline_result(trace: Trace, config: PaperConfig) -> SimulationResult:
-    """The conventional direct-mapped baseline (vectorised)."""
-    return simulate_indexing(ModuloIndexing(config.geometry), trace, config.geometry)
-
-
-def sequential_baseline(trace: Trace, config: PaperConfig) -> SimulationResult:
-    """Sequential baseline (used where lookup-cycle accounting is needed)."""
-    return simulate(DirectMappedCache(config.geometry), trace)

@@ -353,14 +353,17 @@ class TestPartnerCache:
 class TestAdaptive:
     @pytest.mark.parametrize("geometry", [TINY, SMALL], ids=["tiny", "small"])
     def test_all_traces(self, geometry):
-        for trace in trace_zoo(geometry):
-            fast_cache = AdaptiveGroupAssociativeCache(geometry)
-            slow_cache = AdaptiveGroupAssociativeCache(geometry)
-            fast = simulate_adaptive(fast_cache, trace)
-            slow = simulate(slow_cache, trace)
-            assert_results_identical(fast, slow, trace.name)
-            assert_adaptive_state_identical(fast_cache, slow_cache, trace.name)
-            fast_cache.check_invariants()
+        fit = random_trace(geometry, n=2000, seed=99)
+        for scheme in scheme_lineup(geometry, fit):
+            for trace in trace_zoo(geometry):
+                ctx = f"{scheme.name}/{trace.name}"
+                fast_cache = AdaptiveGroupAssociativeCache(geometry, indexing=scheme)
+                slow_cache = AdaptiveGroupAssociativeCache(geometry, indexing=scheme)
+                fast = simulate_adaptive(fast_cache, trace)
+                slow = simulate(slow_cache, trace)
+                assert_results_identical(fast, slow, ctx)
+                assert_adaptive_state_identical(fast_cache, slow_cache, ctx)
+                fast_cache.check_invariants()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_seeds_paper_fractions(self, seed):

@@ -186,6 +186,20 @@ class TestPatel:
         modulo_cost = direct_mapped_miss_count(blocks, blocks & (g.num_sets - 1))
         assert s.cost_ is not None and s.cost_ <= modulo_cost
 
+    def test_offset_bits_never_selected(self):
+        """The fit works on block addresses, so ``include_offset_bits`` does
+        not change the selection even where an offset bit would spread the
+        trace: word-strided addresses vary in the offset bits, and Givargis
+        with the option does pick them."""
+        g = CacheGeometry(1024, 16, 1, address_bits=16)
+        addrs = np.arange(4096, dtype=np.uint64) * np.uint64(4)
+        plain = PatelIndexing(g).fit(addrs)
+        with_offset = PatelIndexing(g, include_offset_bits=True).fit(addrs)
+        assert with_offset.positions == plain.positions
+        assert min(plain.positions) >= g.offset_bits
+        givargis = GivargisIndexing(g, include_offset_bits=True).fit(addrs)
+        assert min(givargis.positions) < g.offset_bits
+
     def test_positions_valid(self, hot):
         g = CacheGeometry(1024, 32, 1, address_bits=24)
         addrs = hot.addresses & np.uint64((1 << 24) - 1)
